@@ -16,9 +16,6 @@ def _valid_doc(events=500_000.0):
     metrics = {
         "engine_events_per_s": {"value": events, "unit": "events/s",
                                 "higher_is_better": True},
-        "engine_events_per_s_sharded": {"value": events, "unit": "events/s",
-                                        "higher_is_better": True,
-                                        "shards": 2, "informational": True},
         "p2p_msgs_per_s": {"value": 9000.0, "unit": "msgs/s",
                            "higher_is_better": True},
         "allreduce_per_s": {"value": 4000.0, "unit": "allreduces/s",
@@ -35,9 +32,12 @@ def _valid_doc(events=500_000.0):
                                 "higher_is_better": False,
                                 "alg2_s": 0.0034, "topo_s": 0.0017,
                                 "simulated": True},
+        "restart_replay_s_vs_log_len": {"value": 0.0002, "unit": "s",
+                                        "higher_is_better": False,
+                                        "simulated": True},
     }
     return {"schema": BENCH_SCHEMA, "quick": False,
-            "host": {"cpu_count": 4, "python": "3.11.0", "shards": 2},
+            "host": {"cpu_count": 4, "python": "3.11.0"},
             "metrics": metrics}
 
 
@@ -51,7 +51,7 @@ def test_valid_doc_passes():
     (lambda d: d["host"].update(cpu_count=0), "cpu_count"),
     (lambda d: d.pop("metrics"), "metrics"),
     (lambda d: d["metrics"].pop("engine_events_per_s"), "core metric"),
-    (lambda d: d["metrics"].pop("engine_events_per_s_sharded"), "core metric"),
+    (lambda d: d["metrics"].pop("p2p_msgs_per_s"), "core metric"),
     (lambda d: d["metrics"].pop("facility_makespan_s"), "core metric"),
     (lambda d: d["metrics"]["fig2_cell_s"].update(value="fast"), "finite"),
     (lambda d: d["metrics"]["fig2_cell_s"].update(value=float("nan")), "finite"),
@@ -104,13 +104,11 @@ class TestCompare:
         cur = _valid_doc()
         assert compare_bench(cur, base, keys=("brand_new_metric",)) == []
 
-    def test_default_keys_threshold_sharded_throughput(self):
-        """Once both sides drop the informational flag (≥2-core hosts),
-        the sharded metric is enforced by the *default* key set."""
+    def test_default_keys_threshold_sweep_speedup(self):
+        """Without the informational flag (≥2-core hosts), the sweep
+        speedup is enforced by the *default* key set."""
         base = _valid_doc()
         cur = _valid_doc()
-        for d in (base, cur):
-            d["metrics"]["engine_events_per_s_sharded"]["informational"] = False
-        cur["metrics"]["engine_events_per_s_sharded"]["value"] *= 0.5
+        cur["metrics"]["sweep_speedup_j2"]["value"] *= 0.5
         failures = compare_bench(cur, base)
-        assert failures and "engine_events_per_s_sharded" in failures[0]
+        assert failures and "sweep_speedup_j2" in failures[0]

@@ -55,9 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocol", default="alg2",
                      choices=["alg2", "topo"],
                      help="checkpoint protocol engine (docs/protocols.md)")
-    run.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="event shards for the simulation engine (merged "
-                          "deterministic mode; docs/performance.md)")
     run.add_argument("--compact", action="store_true",
                      help="compact the record-replay log at checkpoint time "
                           "(docs/record_replay.md)")
@@ -156,12 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "cycle under each engine and cross-checks the "
                            "restart fingerprints between them; 'alternate' "
                            "cuts chained cycles under alg2 then topo")
-    conf.add_argument("--shards", default="1",
-                      choices=["1", "2", "4", "both"],
-                      help="event-shard axis; 'both' runs every cycle "
-                           "sequentially and 2-sharded and cross-checks "
-                           "the restart fingerprints (the shard "
-                           "differential)")
     conf.add_argument("--compact", default="off",
                       choices=["off", "on", "both"],
                       help="checkpoint-time log-compaction axis; 'both' "
@@ -195,9 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--protocol", default="alg2",
                      choices=["alg2", "topo"],
                      help="checkpoint protocol for induced checkpoints")
-    fac.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="event shards for the facility's shared engine "
-                          "(merged deterministic mode)")
     fac.add_argument("--compact", action="store_true",
                      help="compact every tenant's record-replay log at "
                           "induced checkpoints")
@@ -305,9 +293,7 @@ def cmd_run(args, out) -> int:
         return 0
 
     job = _launch_mana_app(cluster, spec, cfg, n_ranks, rpn,
-                           protocol=args.protocol,
-                           shards=args.shards if args.shards > 1 else None,
-                           compact=args.compact)
+                           protocol=args.protocol, compact=args.compact)
     if args.checkpoint_at is not None:
         ckpt, report = job.checkpoint_at(args.checkpoint_at)
         print(f"checkpoint at t={args.checkpoint_at}: "
@@ -463,7 +449,7 @@ def cmd_conformance(args, out) -> int:
         n_ranks=args.ranks, n_steps=args.steps,
         n_sources=args.sources, ckpts_per_source=args.ckpts_per_source,
         jobs=args.jobs, only=args.only, protocol=args.protocol,
-        shards=args.shards, compact=args.compact,
+        compact=args.compact,
     )
     print(report.summary(), file=out)
     if args.report:
@@ -498,9 +484,7 @@ def cmd_facility(args, out) -> int:
     )
     fac = Facility(cluster, scheduler=args.policy, seed=args.seed,
                    checkpoint_interval=args.ckpt_interval,
-                   protocol=args.protocol,
-                   shards=args.shards if args.shards > 1 else None,
-                   compact=args.compact)
+                   protocol=args.protocol, compact=args.compact)
     fac.submit_all(generate_jobs(args.mix, args.n_jobs, seed=args.seed))
     rep = fac.run()
     print(rep.summary(), file=out)

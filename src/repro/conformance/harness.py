@@ -145,7 +145,7 @@ def golden_run(app: str, cell: ConfigCell = REF_CELL, n_ranks: int = 4,
 
 def _source_checkpoint(app: str, src: ConfigCell, n_ranks: int, n_steps: int,
                        seed: int, k: int, protocol: str = "alg2",
-                       shards: int = 1, compact: bool = False):
+                       compact: bool = False):
     """(checkpoint set, source-engine totals, ckpt time), memoized.
 
     The checkpoint set is only ever *read* by restarts (the property fig9's
@@ -153,15 +153,12 @@ def _source_checkpoint(app: str, src: ConfigCell, n_ranks: int, n_steps: int,
     destination cell of the matrix within a process.  The fuzzed cut time
     comes from a protocol-independent rng stream, so the alg2 and topo
     variants of one cycle checkpoint at the same virtual instant — the
-    ideal differential.  ``shards`` > 1 runs the source job on a sharded
-    engine (merged mode) — the engine must be bit-identical, so the shard
-    axis gets its own memo slot precisely to *not* share the sequential
-    run's images.  ``compact`` keys its own slot too: a compacted and a
-    full image of the same instant are *different artifacts*, and the
+    ideal differential.  ``compact`` keys its own memo slot: a compacted
+    and a full image of the same instant are *different artifacts*, and the
     compaction differential depends on restarting both.
     """
     key = ("conformance-src", app, src.as_tuple(), n_ranks, n_steps, seed, k,
-           protocol, shards, compact)
+           protocol, compact)
 
     def compute():
         from repro.harness.experiments import _launch_mana_app
@@ -173,7 +170,6 @@ def _source_checkpoint(app: str, src: ConfigCell, n_ranks: int, n_steps: int,
         cluster = cluster_for(src, n_eff)
         job = _launch_mana_app(cluster, spec, cfg, n_eff,
                                src.ranks_per_node, protocol=protocol,
-                               shards=shards if shards > 1 else None,
                                compact=compact)
         ckpt, _report = job.checkpoint_at(t_ckpt)
         return ckpt, conservation_totals(job.engine.metrics), t_ckpt
@@ -199,8 +195,6 @@ class CycleResult:
     protocol: str = "alg2"
     #: the restarted run's final-state fingerprint (cross-protocol check)
     fingerprint: str = ""
-    #: how many event shards the cycle's engines ran on (1 = sequential)
-    shards: int = 1
     #: whether the cycle's checkpoints compacted the record-replay log
     compact: bool = False
     #: entries the first restart actually replayed (O(live) when compacted)
@@ -223,8 +217,6 @@ class CycleResult:
         line = (f"python -m repro conformance --{tier} --seed {self.seed} "
                 f"--apps {self.app} --protocol {self.protocol} "
                 f"--only '{self.pair}'")
-        if self.shards != 1:
-            line += f" --shards {self.shards}"
         if self.compact:
             line += " --compact on"
         return line
@@ -249,7 +241,6 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
                        seed: int = 0, k: int = 0,
                        chain: bool = False,
                        protocol: str = "alg2",
-                       shards: int = 1,
                        compact: bool = False) -> CycleResult:
     """Run one golden/checkpoint/restart/oracle cycle and report it.
 
@@ -261,10 +252,7 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
 
     ``protocol`` selects the checkpoint protocol engine for every cut in
     the cycle (``"alternate"``: alg2 → topo → alg2 across a chain's hops);
-    the golden runs are checkpoint-free and therefore shared.  ``shards``
-    > 1 runs the source and restart jobs on sharded engines — the golden
-    stays sequential, so every oracle doubles as a sequential-vs-sharded
-    differential.
+    the golden runs are checkpoint-free and therefore shared.
 
     ``compact=True`` compacts the record-replay log in every checkpoint of
     the cycle (docs/record_replay.md); on top of the state/conservation
@@ -275,7 +263,6 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
     from repro.mana.job import restart
 
     proto_cut1, proto_cut2, proto_final = _hop_protocols(protocol)
-    job_shards = shards if shards > 1 else None
     ref = golden_run(app, REF_CELL, n_ranks, n_steps)
     divergences: list[Divergence] = []
 
@@ -292,7 +279,7 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
 
     ckpt, src_totals, t_ckpt = _source_checkpoint(
         app, src, n_ranks, n_steps, seed, k, protocol=proto_cut1,
-        shards=shards, compact=compact,
+        compact=compact,
     )
     divergences.extend(check_replay_consistency(ckpt))
     n_eff = effective_ranks(app, n_ranks)
@@ -300,7 +287,7 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
     job2 = restart(
         ckpt, cluster_for(dst, n_eff), spec.build(cfg),
         mpi=dst.mpi, ranks_per_node=dst.ranks_per_node, protocol=proto_cut2,
-        shards=job_shards, compact=compact,
+        compact=compact,
     )
 
     mid_totals = None
@@ -323,7 +310,7 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
             final_job = restart(
                 ckpt2, cluster_for(src, n_eff), spec.build(cfg),
                 mpi=src.mpi, ranks_per_node=src.ranks_per_node,
-                protocol=proto_final, shards=job_shards, compact=compact,
+                protocol=proto_final, compact=compact,
             )
         # else: the dst cell outran the fuzzed window — the cycle
         # degenerates to a single hop, which is still a full oracle check
@@ -348,14 +335,14 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
     return CycleResult(
         app=app, src=src.as_tuple(), dst=dst.as_tuple(),
         seed=seed, k=k, ckpt_time=t_ckpt, divergences=tuple(divergences),
-        protocol=protocol, fingerprint=final_fp, shards=shards,
-        compact=compact, replayed=job2.restart_report.replayed_entries,
+        protocol=protocol, fingerprint=final_fp, compact=compact,
+        replayed=job2.restart_report.replayed_entries,
     )
 
 
 def _cycle_cell(app: str, src_t: tuple, dst_t: tuple, n_ranks: int,
                 n_steps: int, seed: int, k: int,
-                protocol: str = "alg2", shards: int = 1,
+                protocol: str = "alg2",
                 compact: bool = False) -> CycleResult:
     """SweepCell entry point: primitives in, picklable CycleResult out.
 
@@ -366,7 +353,7 @@ def _cycle_cell(app: str, src_t: tuple, dst_t: tuple, n_ranks: int,
     return differential_cycle(
         app, ConfigCell.from_tuple(src_t), ConfigCell.from_tuple(dst_t),
         n_ranks=n_ranks, n_steps=n_steps, seed=seed, k=k, chain=k > 0,
-        protocol=protocol, shards=shards, compact=compact,
+        protocol=protocol, compact=compact,
     )
 
 
@@ -384,8 +371,6 @@ class ConformanceReport:
     results: list
     #: "alg2" | "topo" | "both" | "alternate" — the sweep's protocol axis
     protocol: str = "alg2"
-    #: "1" | "2" | ... | "both" — the sweep's shard axis
-    shards: str = "1"
     #: "off" | "on" | "both" — the sweep's log-compaction axis
     compact: str = "off"
 
@@ -404,8 +389,7 @@ class ConformanceReport:
         cells = {r.dst for r in self.results} | {r.src for r in self.results}
         lines = [
             f"conformance[{self.tier}] seed={self.seed} "
-            f"protocol={self.protocol} shards={self.shards} "
-            f"compact={self.compact}: "
+            f"protocol={self.protocol} compact={self.compact}: "
             f"{len(self.results)} cycles over {len(cells)} cells "
             f"({len(self.apps)} apps, {self.n_ranks} ranks, "
             f"{self.n_steps} steps) — "
@@ -413,8 +397,8 @@ class ConformanceReport:
         ]
         for r in self.divergent:
             lines.append(
-                f"DIVERGENT: {r.app} {r.pair} k{r.k} [{r.protocol}/"
-                f"s{r.shards}{'/compact' if r.compact else ''}] "
+                f"DIVERGENT: {r.app} {r.pair} k{r.k} [{r.protocol}"
+                f"{'/compact' if r.compact else ''}] "
                 f"ckpt@{r.ckpt_time:.4f}s"
             )
             for d in r.divergences:
@@ -431,7 +415,6 @@ class ConformanceReport:
             "n_steps": self.n_steps,
             "apps": list(self.apps),
             "protocol": self.protocol,
-            "shards": self.shards,
             "compact": self.compact,
             "ok": self.ok,
             "cycles": len(self.results),
@@ -441,7 +424,6 @@ class ConformanceReport:
                     "pair": r.pair,
                     "k": r.k,
                     "protocol": r.protocol,
-                    "shards": r.shards,
                     "compact": r.compact,
                     "replayed": r.replayed,
                     "ckpt_time": r.ckpt_time,
@@ -454,133 +436,66 @@ class ConformanceReport:
         }
 
 
-def _cross_protocol_check(results: list) -> list:
-    """The "both" axis' extra oracle: pair each cycle's alg2 and topo runs
-    and demand bit-identical final fingerprints *between* the protocols.
+#: the CycleResult fields that identify a cycle; two results that agree on
+#: all of them but one ran the same cycle along that one axis
+_CYCLE_IDENTITY = ("app", "src", "dst", "seed", "k", "protocol", "compact")
 
-    Both variants of a cycle cut at the same fuzzed virtual time (the rng
-    stream that draws it is protocol-independent), so their restarted
-    states must agree bit for bit — a divergence here catches the case
-    where both protocols drift from the golden in the same way and the
-    per-protocol oracle alone would stay green.
+
+def _cross_axis_check(results: list, axis: str, baseline, oracle: str,
+                      extra=None) -> list:
+    """An axis differential's extra oracle: pair each cycle with its
+    ``baseline`` variant along ``axis`` and demand bit-identical restart
+    fingerprints.
+
+    Every variant of a cycle cuts at the same fuzzed virtual time (the rng
+    stream that draws it depends on neither protocol nor compaction), so
+    the restarted states must agree bit for bit — a divergence here catches
+    drift that moves both variants away from the golden in the same way,
+    which the per-cycle state oracle alone would miss.  The divergence is
+    pinned on the non-baseline variant.  ``extra(base, r)`` returns further
+    divergences for an axis-specific claim.
     """
-    by_cycle: dict[tuple, dict[str, CycleResult]] = {}
-    for r in results:
-        by_cycle.setdefault(
-            (r.app, r.src, r.dst, r.seed, r.k, r.shards, r.compact), {}
-        )[r.protocol] = r
+    fields = [f for f in _CYCLE_IDENTITY if f != axis]
+    base_of = {
+        tuple(getattr(r, f) for f in fields): r
+        for r in results if getattr(r, axis) == baseline
+    }
     out = []
     for r in results:
-        peers = by_cycle[
-            (r.app, r.src, r.dst, r.seed, r.k, r.shards, r.compact)
-        ]
-        other = peers.get("alg2" if r.protocol == "topo" else "topo")
-        if (other is not None and r.fingerprint and other.fingerprint
-                and r.fingerprint != other.fingerprint):
-            div = Divergence(
-                oracle="cross_protocol",
-                expected=other.fingerprint, actual=r.fingerprint,
-                detail=(f"{other.protocol} vs {r.protocol} restart "
-                        "fingerprints differ"),
-            )
-            r = replace(r, divergences=r.divergences + (div,))
-        out.append(r)
-    return out
-
-
-def _cross_shard_check(results: list) -> list:
-    """The shard differential's extra oracle: pair each cycle's sequential
-    and sharded runs and demand bit-identical final fingerprints.
-
-    The sharded engine's contract is *byte-identical* execution, so any
-    drift between the shard counts of one cycle — even if both still match
-    the golden — is a divergence worth failing on.
-    """
-    by_cycle: dict[tuple, dict[int, CycleResult]] = {}
-    for r in results:
-        by_cycle.setdefault(
-            (r.app, r.src, r.dst, r.seed, r.k, r.protocol, r.compact), {}
-        )[r.shards] = r
-    out = []
-    for r in results:
-        peers = by_cycle[
-            (r.app, r.src, r.dst, r.seed, r.k, r.protocol, r.compact)
-        ]
-        for other_shards, other in sorted(peers.items()):
-            if other_shards >= r.shards or not (r.fingerprint
-                                                and other.fingerprint):
-                continue
-            if r.fingerprint != other.fingerprint:
-                div = Divergence(
-                    oracle="cross_shard",
-                    expected=other.fingerprint, actual=r.fingerprint,
-                    detail=(f"shards={other.shards} vs shards={r.shards} "
-                            "restart fingerprints differ"),
-                )
-                r = replace(r, divergences=r.divergences + (div,))
-        out.append(r)
-    return out
-
-
-def _cross_compact_check(results: list) -> list:
-    """The compaction differential's extra oracle: pair each cycle's
-    full-log and compacted runs and demand bit-identical final
-    fingerprints, *and* that the compacted restart replayed no more
-    entries than the full one.
-
-    The compactor's contract is semantic equivalence — deleting dead
-    handle history must not change a single replayed bit — so any drift
-    between the two variants of one cycle is a divergence even if both
-    still match the golden.  The replay-count comparison is the O(live)
-    claim itself: a "compacted" image that replays as much as the full
-    log means the pass silently kept everything.
-    """
-    by_cycle: dict[tuple, dict[bool, CycleResult]] = {}
-    for r in results:
-        by_cycle.setdefault(
-            (r.app, r.src, r.dst, r.seed, r.k, r.protocol, r.shards), {}
-        )[r.compact] = r
-    out = []
-    for r in results:
-        peers = by_cycle[
-            (r.app, r.src, r.dst, r.seed, r.k, r.protocol, r.shards)
-        ]
-        if r.compact and not peers.get(False):
+        base = base_of.get(tuple(getattr(r, f) for f in fields))
+        if base is None or base is r:
             out.append(r)
             continue
-        if r.compact:
-            full = peers[False]
-            if (r.fingerprint and full.fingerprint
-                    and r.fingerprint != full.fingerprint):
-                div = Divergence(
-                    oracle="cross_compact",
-                    expected=full.fingerprint, actual=r.fingerprint,
-                    detail="full-log vs compacted restart fingerprints "
-                           "differ",
-                )
-                r = replace(r, divergences=r.divergences + (div,))
-            if full.replayed and r.replayed > full.replayed:
-                div = Divergence(
-                    oracle="cross_compact",
-                    expected=f"<= {full.replayed} replayed entries",
-                    actual=r.replayed,
-                    detail="compacted restart replayed more than the "
-                           "full log",
-                )
-                r = replace(r, divergences=r.divergences + (div,))
-        out.append(r)
+        found = []
+        if (r.fingerprint and base.fingerprint
+                and r.fingerprint != base.fingerprint):
+            found.append(Divergence(
+                oracle=oracle, expected=base.fingerprint,
+                actual=r.fingerprint,
+                detail=(f"{axis}={getattr(base, axis)} vs "
+                        f"{axis}={getattr(r, axis)} restart fingerprints "
+                        "differ"),
+            ))
+        if extra is not None:
+            found.extend(extra(base, r))
+        out.append(replace(r, divergences=r.divergences + tuple(found)))
     return out
 
 
-def _parse_shards_axis(shards) -> tuple[int, ...]:
-    """``shards`` axis values: an int, a numeric string, or ``"both"``
-    (sequential + 2-shard, the CI differential)."""
-    if shards == "both":
-        return (1, 2)
-    n = int(shards)
-    if n < 1:
-        raise ValueError(f"shards must be >= 1, got {shards!r}")
-    return (n,)
+def _compacted_replays_no_more(full: CycleResult,
+                               compacted: CycleResult) -> list:
+    """The compaction axis' extra claim — O(live) replay: the compacted
+    restart replays no more log entries than the full one.  A "compacted"
+    image that replays as much as the full log means the pass silently
+    kept everything."""
+    if full.replayed and compacted.replayed > full.replayed:
+        return [Divergence(
+            oracle="cross_compact",
+            expected=f"<= {full.replayed} replayed entries",
+            actual=compacted.replayed,
+            detail="compacted restart replayed more than the full log",
+        )]
+    return []
 
 
 def _parse_compact_axis(compact) -> tuple[bool, ...]:
@@ -608,7 +523,6 @@ def run_conformance(
     jobs: Optional[int] = 1,
     only: Optional[str] = None,
     protocol: str = "alg2",
-    shards="1",
     compact="off",
 ) -> ConformanceReport:
     """Sweep the tier's matrix: every app × source cell × *other* cell.
@@ -624,11 +538,6 @@ def run_conformance(
     differential — see docs/protocols.md); ``"alternate"`` cuts a chained
     cycle's hops under alg2 → topo in turn (single-hop cycles degenerate
     to alg2).
-
-    ``shards`` selects the event-shard axis the same way: ``"1"``/``"2"``
-    run every cycle at that shard count, ``"both"`` runs each cycle
-    sequentially *and* 2-sharded and cross-checks the fingerprints
-    (the shard differential — see docs/performance.md).
 
     ``compact`` selects the log-compaction axis: ``"off"``/``"on"`` run
     every cycle with the full or the compacted record-replay log,
@@ -647,7 +556,6 @@ def run_conformance(
             f"unknown protocol {protocol!r}: expected one of "
             f"{PROTOCOLS + ('both', 'alternate')}"
         )
-    shard_counts = _parse_shards_axis(shards)
     compact_modes = _parse_compact_axis(compact)
     apps = tuple(apps or DEFAULT_APPS)
     dsts = matrix_for(tier)
@@ -656,9 +564,9 @@ def run_conformance(
         SweepCell(
             _cycle_cell,
             (app, s.as_tuple(), d.as_tuple(), n_ranks, n_steps, seed, k,
-             proto, n_shards, do_compact),
+             proto, do_compact),
             label=(f"conf:{app}:{s.label}->{d.label}/k{k}/{proto}"
-                   f"/s{n_shards}" + ("/compact" if do_compact else "")),
+                   + ("/compact" if do_compact else "")),
         )
         for app in apps
         for s in srcs
@@ -666,7 +574,6 @@ def run_conformance(
         if d != s
         for k in range(ckpts_per_source)
         for proto in protocols
-        for n_shards in shard_counts
         for do_compact in compact_modes
         if only is None or f"{s.label}->{d.label}" == only
     ]
@@ -677,13 +584,14 @@ def run_conformance(
         )
     results = list(run_cells(cells, jobs=jobs))
     if len(protocols) > 1:
-        results = _cross_protocol_check(results)
-    if len(shard_counts) > 1:
-        results = _cross_shard_check(results)
+        results = _cross_axis_check(results, "protocol", protocols[0],
+                                    oracle="cross_protocol")
     if len(compact_modes) > 1:
-        results = _cross_compact_check(results)
+        results = _cross_axis_check(results, "compact", compact_modes[0],
+                                    oracle="cross_compact",
+                                    extra=_compacted_replays_no_more)
     return ConformanceReport(
         tier=tier, seed=seed, n_ranks=n_ranks, n_steps=n_steps,
-        apps=apps, results=results, protocol=protocol, shards=str(shards),
+        apps=apps, results=results, protocol=protocol,
         compact=str(compact),
     )

@@ -93,17 +93,9 @@ class Facility:
         control: Optional[ControlPlaneModel] = None,
         stragglers: bool = True,
         protocol: str = "alg2",
-        shards: Optional[int] = None,
         compact: bool = False,
     ) -> None:
-        if engine is not None:
-            self.engine = engine
-        elif shards is not None and shards > 1:
-            from repro.harness.partition import make_sharded_engine
-
-            self.engine = make_sharded_engine(cluster, shards)
-        else:
-            self.engine = Engine()
+        self.engine = engine or Engine()
         self.cluster = cluster
         self.scheduler = (
             scheduler if isinstance(scheduler, SchedulerPolicy)

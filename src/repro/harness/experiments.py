@@ -111,7 +111,7 @@ def _run_native(cluster: Cluster, spec: AppSpec, cfg, n_ranks: int,
 
 def _launch_mana_app(cluster: Cluster, spec: AppSpec, cfg, n_ranks: int,
                      ranks_per_node: Optional[int], protocol: str = "alg2",
-                     shards: Optional[int] = None, compact: bool = False):
+                     compact: bool = False):
     from repro.mana.split_process import fixed_upper_bytes
 
     # The app's memory model gives the *target image size*; the app-data
@@ -125,7 +125,7 @@ def _launch_mana_app(cluster: Cluster, spec: AppSpec, cfg, n_ranks: int,
     return launch_mana(
         cluster, spec.build(cfg), n_ranks=n_ranks,
         ranks_per_node=ranks_per_node, app_mem_bytes=app_data,
-        protocol=protocol, shards=shards, compact=compact,
+        protocol=protocol, compact=compact,
     ).start()
 
 

@@ -25,17 +25,10 @@ strictly sequentially.  This module supplies the missing layer:
   ``_checkpoint_after_steps`` preludes that fig6/fig7/fig8 would otherwise
   re-simulate per figure).  Keys must capture every input of the sub-run;
   see ``docs/performance.md`` for the key conventions.
-* :class:`WorkerPool` — persistent, *stateful* workers addressed by index.
-  ``run_cells`` workers are stateless (any worker may take any cell); the
-  sharded engine (:mod:`repro.simtime.sharded`) instead needs each shard's
-  world to stay resident in one process across many synchronization
-  windows, so the pool pins worker *k* to shard *k* and exchanges
-  ``(fn, args)`` calls over a dedicated pipe pair.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -150,114 +143,6 @@ def run_cells(
             label, exc_type, exc_msg, tb = payload
             raise CellError(label, exc_type, exc_msg, tb)
     return [payload for _status, payload in outcomes]
-
-
-# ----------------------------------------------------- persistent workers
-
-def _pool_worker_main(conn, worker_id: int) -> None:
-    """Worker loop: apply ``(fn, args)`` requests until the None sentinel.
-
-    Replies mirror :func:`_run_cell_guarded`: ``("ok", result)`` or an
-    all-strings ``("err", ...)`` tuple that survives pickling.
-    """
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            break
-        if msg is None:
-            break
-        fn, args = msg
-        try:
-            conn.send(("ok", fn(*args)))
-        except BaseException as exc:  # noqa: BLE001 - must not kill the worker
-            label = f"worker {worker_id}: {getattr(fn, '__name__', fn)}"
-            conn.send(("err", (label, type(exc).__name__, str(exc),
-                               traceback.format_exc())))
-    conn.close()
-
-
-class WorkerPool:
-    """``n`` persistent worker processes, addressed by index.
-
-    Unlike :func:`run_cells`, a given worker keeps its module-level state
-    between calls — that is the point: :mod:`repro.simtime.sharded` builds
-    one shard world per worker and then drives it through thousands of
-    conservative windows without ever re-pickling it.
-
-    ``submit(k, fn, *args)`` dispatches asynchronously to worker ``k``
-    (at most one call in flight per worker); ``result(k)`` collects the
-    reply, raising :exc:`CellError` if the call failed remotely;
-    ``call(k, ...)`` is submit+result.  Usable as a context manager.
-    """
-
-    def __init__(self, n_workers: int) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
-        self._conns = []
-        self._procs = []
-        self._busy = [False] * n_workers
-        for k in range(n_workers):
-            parent, child = mp.Pipe()
-            proc = mp.Process(target=_pool_worker_main, args=(child, k),
-                              daemon=True)
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-
-    def submit(self, worker: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Dispatch ``fn(*args)`` to worker ``worker`` without waiting."""
-        if self._busy[worker]:
-            raise RuntimeError(f"worker {worker} already has a call in flight")
-        self._conns[worker].send((fn, args))
-        self._busy[worker] = True
-
-    def result(self, worker: int) -> Any:
-        """Collect the pending reply from worker ``worker``."""
-        if not self._busy[worker]:
-            raise RuntimeError(f"worker {worker} has no call in flight")
-        try:
-            status, payload = self._conns[worker].recv()
-        except EOFError:
-            self._busy[worker] = False
-            raise CellError(
-                f"worker {worker}", "EOFError",
-                "worker process died mid-call", "",
-            ) from None
-        self._busy[worker] = False
-        if status == "err":
-            raise CellError(*payload)
-        return payload
-
-    def call(self, worker: int, fn: Callable[..., Any], *args: Any) -> Any:
-        """Synchronous ``fn(*args)`` on worker ``worker``."""
-        self.submit(worker, fn, *args)
-        return self.result(worker)
-
-    def close(self) -> None:
-        """Shut every worker down (idempotent; terminates stragglers)."""
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            conn.close()
-        self._conns = []
-        self._procs = []
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ------------------------------------------------------------- memo cache

@@ -13,13 +13,6 @@ Metrics
 
 * ``engine_events_per_s`` — raw discrete-event kernel throughput (a
   self-re-arming timer; nothing but the engine hot loop).
-* ``engine_events_per_s_sharded`` — the same self-re-arming-timer world
-  split across OS processes by the conservative sharded backend
-  (:func:`repro.simtime.sharded.run_sharded`), with lookahead ≫ tick so
-  each window batches thousands of events.  On a ≥2-core host this should
-  beat the single-shard number; on a single-core host the processes
-  serialize and the metric is emitted ``informational`` — same pattern as
-  ``sweep_speedup_j2``.
 * ``p2p_msgs_per_s`` — simulated point-to-point messages per wall second
   (OSU-style ping-pong under MANA interposition).
 * ``allreduce_per_s`` — simulated 8-rank allreduces per wall second.
@@ -64,14 +57,9 @@ from typing import Any, Callable, Optional
 
 BENCH_SCHEMA = "repro-perf/2"
 
-#: shard count used by the sharded engine benchmark (recorded in the host
-#: block so baselines from differently-sharded runs never compare silently)
-BENCH_SHARDS = 2
-
 #: metric keys guaranteed to be present in every suite run
 CORE_METRICS = (
     "engine_events_per_s",
-    "engine_events_per_s_sharded",
     "p2p_msgs_per_s",
     "allreduce_per_s",
     "ckpt_restart_cycle_s",
@@ -82,12 +70,11 @@ CORE_METRICS = (
     "restart_replay_s_vs_log_len",
 )
 
-#: keys :func:`compare_bench` thresholds by default — the wall-clock
-#: throughput/scaling trio; parallel metrics skip themselves via the
+#: keys :func:`compare_bench` thresholds by default — engine throughput
+#: and sweep scaling; the sweep metric skips itself via the
 #: ``informational`` flag on hosts that cannot overlap work
 THRESHOLDED_KEYS = (
     "engine_events_per_s",
-    "engine_events_per_s_sharded",
     "sweep_speedup_j2",
 )
 
@@ -110,30 +97,6 @@ def bench_engine_events(n_events: int = 300_000) -> float:
     t0 = time.perf_counter()
     engine.run()
     return n_events / (time.perf_counter() - t0)
-
-
-def bench_engine_events_sharded(n_events: int = 200_000,
-                                n_shards: int = BENCH_SHARDS) -> dict[str, float]:
-    """Events per wall second through the process-sharded event backend.
-
-    The same self-re-arming-timer world as :func:`bench_engine_events`,
-    split over ``n_shards`` worker processes with a token ring between
-    them.  The shape is chosen for window batching — ``tick`` of 1 µs
-    under a 1 ms lookahead, a cross-shard token every 500 ticks — so each
-    conservative window advances thousands of events per shard and the
-    synchronization cost amortizes away.  Returns ``{"events_per_s": ...,
-    "windows": ..., "messages": ...}``.
-    """
-    from repro.simtime.sharded import ring_specs, run_sharded
-
-    per_shard = max(1, n_events // n_shards)
-    specs = ring_specs(n_shards, per_shard, tick=1e-6, ping_every=500)
-    t0 = time.perf_counter()
-    out = run_sharded(specs, lookahead=1e-3, parallel=True)
-    wall = time.perf_counter() - t0
-    fired = sum(r["fired"] for r in out.results)
-    return {"events_per_s": fired / wall, "windows": float(out.windows),
-            "messages": float(out.messages)}
 
 
 def bench_p2p_message_rate(n_iters: int = 400) -> float:
@@ -356,11 +319,6 @@ def run_suite(quick: bool = False, jobs: Optional[int] = None,
     events = bench_engine_events(60_000 if quick else 300_000)
     say(f"  {events:,.0f} events/s")
 
-    say(f"sharded engine event throughput ({BENCH_SHARDS} shards)...")
-    sharded = bench_engine_events_sharded(80_000 if quick else 200_000)
-    say(f"  {sharded['events_per_s']:,.0f} events/s "
-        f"({sharded['windows']:.0f} windows)")
-
     say("p2p message rate...")
     p2p = bench_p2p_message_rate(100 if quick else 400)
     say(f"  {p2p:,.0f} msgs/s")
@@ -403,19 +361,9 @@ def run_suite(quick: bool = False, jobs: Optional[int] = None,
         "host": {
             "cpu_count": os.cpu_count() or 1,
             "python": platform.python_version(),
-            "shards": BENCH_SHARDS,
         },
         "metrics": {
             "engine_events_per_s": _metric(events, "events/s", True),
-            "engine_events_per_s_sharded": _metric(
-                sharded["events_per_s"], "events/s", True,
-                shards=BENCH_SHARDS,
-                windows=int(sharded["windows"]),
-                messages=int(sharded["messages"]),
-                # one worker process per shard: a single-CPU host
-                # serializes them, so the number describes the host
-                informational=(os.cpu_count() or 1) < 2,
-            ),
             "p2p_msgs_per_s": _metric(p2p, "msgs/s", True),
             "allreduce_per_s": _metric(coll, "allreduces/s", True),
             "ckpt_restart_cycle_s": _metric(cycle, "s", False),

@@ -187,34 +187,22 @@ class Coordinator:
                 continue
             self.engine.call_after(
                 self.control.fanout_delay(i), rt.on_ctrl, CkptMsg.RESUME,
-                None, shard=self._rank_shard(i),
-                label=f"coord:abort-resume->r{i}",
+                None, label=f"coord:abort-resume->r{i}",
             )
         done.resolve(CheckpointAborted(rank, aborted_phase))
 
     # ----------------------------------------------------------- messaging
 
-    def _rank_shard(self, rank: int) -> Optional[int]:
-        """Shard of ``rank``'s helper under a sharded engine, else None.
-
-        Control-plane latency (100 µs) dominates every fabric α, so these
-        coordinator <-> helper edges always satisfy the plan's lookahead.
-        """
-        plan = self.engine.plan
-        return None if plan is None else plan.shard_of_node[self.node_of[rank]]
-
     def _broadcast(self, msg: CkptMsg, payload_fn: Callable[[int], Any]) -> None:
         for i, rt in enumerate(self.runtimes):
             self.engine.call_after(
                 self.control.fanout_delay(i), rt.on_ctrl, msg, payload_fn(i),
-                shard=self._rank_shard(i), label=f"coord:{msg.value}->r{i}",
+                label=f"coord:{msg.value}->r{i}",
             )
 
     def _reply_from_rank(self, rank: int, msg: CkptMsg, payload: Any) -> None:
-        plan = self.engine.plan
         self.engine.call_after(
             self.control.reply_delay(), self._on_reply, rank, msg, payload,
-            shard=None if plan is None else plan.control_shard,
             label=f"coord:reply<-r{rank}",
         )
 

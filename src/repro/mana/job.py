@@ -91,19 +91,9 @@ class ManaJob:
     # ------------------------------------------------------------ execution
 
     def start(self) -> "ManaJob":
-        """Begin execution (schedules the first event).
-
-        On a sharded engine each rank's first event is seeded with the
-        rank's shard affinity, so the whole downstream compute/drain chain
-        of that rank stays on its shard (events inherit the shard of the
-        event that scheduled them)."""
-        plan = self.engine.plan
-        placement = list(self.world.placement)
-        for rank, rt in enumerate(self.runtimes):
-            shard = (None if plan is None
-                     else plan.shard_of_rank(placement, rank))
-            with self.engine.scheduling_shard(shard):
-                rt.driver.start()
+        """Begin execution (schedules the first event)."""
+        for rt in self.runtimes:
+            rt.driver.start()
         if not self.resumed.done:
             self.resumed.resolve(None)
         return self
@@ -224,23 +214,6 @@ def _build_runtimes(
     return runtimes
 
 
-def _engine_for(engine: Optional[Engine], cluster: Cluster,
-                shards: Optional[int]) -> Engine:
-    """Honour the ``shards=`` knob when the caller did not supply an engine.
-
-    Imported lazily: :mod:`repro.harness` imports the experiment runners
-    (which import this module) at package-import time, so the partitioner
-    must not be imported at :mod:`repro.mana.job` import time.
-    """
-    if engine is not None:
-        return engine
-    if shards is not None and shards > 1:
-        from repro.harness.partition import make_sharded_engine
-
-        return make_sharded_engine(cluster, shards)
-    return Engine()
-
-
 def launch_mana(
     cluster: Cluster,
     program_factory: ProgramFactory,
@@ -253,20 +226,16 @@ def launch_mana(
     control: Optional[ControlPlaneModel] = None,
     stragglers: bool = True,
     protocol: str = "alg2",
-    shards: Optional[int] = None,
     compact: bool = False,
 ) -> ManaJob:
     """Launch a program under MANA on ``cluster``.  Does not start the
     drivers — call :meth:`ManaJob.start` (so tests can instrument first).
 
     ``protocol`` selects the checkpoint protocol engine (``"alg2"`` or
-    ``"topo"``; see docs/protocols.md).  ``shards`` > 1 builds the job on
-    a :class:`~repro.simtime.sharded.ShardedEngine` partitioned per
-    :func:`repro.harness.partition.plan_for_cluster` (only when ``engine``
-    is not supplied); ``None``/1 keeps the plain sequential engine.
-    ``compact=True`` compacts each rank's record log at checkpoint time so
-    restart replay cost tracks live handles (docs/record_replay.md)."""
-    engine = _engine_for(engine, cluster, shards)
+    ``"topo"``; see docs/protocols.md).  ``compact=True`` compacts each
+    rank's record log at checkpoint time so restart replay cost tracks live
+    handles (docs/record_replay.md)."""
+    engine = engine or Engine()
     world = launch(engine, cluster, n_ranks, ranks_per_node=ranks_per_node, mpi=mpi)
     runtimes = _build_runtimes(
         engine, cluster, world, program_factory, app_mem_bytes,
@@ -294,19 +263,16 @@ def restart(
     control: Optional[ControlPlaneModel] = None,
     stragglers: bool = True,
     protocol: str = "alg2",
-    shards: Optional[int] = None,
     compact: bool = False,
 ) -> ManaJob:
     """Restart a checkpointed job on ``cluster`` — any implementation, any
     interconnect, any rank layout.  Returns a job whose drivers resume once
     init + image reads + record-replay have completed (all modeled on the
     job's fresh engine); ``job.restart_report`` is filled in at that point.
-    ``shards`` works as in :func:`launch_mana` (the restart cluster's own
-    partition — a restart may change shard count like anything else).
     ``compact`` governs *future* checkpoints of the restarted job; whether
     the image being restored was compacted is a property of the image.
     """
-    engine = _engine_for(engine, cluster, shards)
+    engine = engine or Engine()
     n_ranks = ckpt.n_ranks
     world = launch(engine, cluster, n_ranks, ranks_per_node=ranks_per_node, mpi=mpi)
 
@@ -342,16 +308,11 @@ def restart(
     def begin_replay() -> None:
         replay_start = engine.now
         replays = []
-        plan = engine.plan
-        placement = list(world.placement)
         for rank, rt in enumerate(runtimes):
             state = ckpt.image_for(rank).restore_state()
             replays.append(rt.restore_from(state))
-        for rank, rp in enumerate(replays):
-            shard = (None if plan is None
-                     else plan.shard_of_rank(placement, rank))
-            with engine.scheduling_shard(shard):
-                rp.start()
+        for rp in replays:
+            rp.start()
         def surface(value) -> None:
             # A failed replay resolves its `finished` with a ReplayError;
             # peers blocked in replay collectives would wait forever, so

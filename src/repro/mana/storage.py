@@ -13,9 +13,12 @@ Layout::
       rank_00000.img       pickled restore payload of rank 0
       rank_00001.img       ...
 
-Each image file carries its own header (magic, version, rank, modeled size,
-region table) followed by the pickled payload, and the manifest records a
-SHA-256 of every file so corruption is detected at load time.
+Each image file starts with a fixed header (magic, rank, modeled size,
+``taken_at``), followed by the region table (a little-endian u64 length,
+then the pickled region rows) and then the pickled payload.  The header
+holds no version field: the magic ``MANAIMG1`` is the only format tag.
+The manifest records a SHA-256 of every file so corruption is detected at
+load time.
 """
 
 from __future__ import annotations

@@ -126,21 +126,7 @@ class Interconnect:
 
         arrival = max(self.engine.now + self.transfer_time(size), not_before)
         msg.meta["arrival"] = arrival
-        # On a sharded engine, delivery belongs to the *destination* node's
-        # shard and the edge originates at the *source* node's shard (not
-        # the dispatching event's — completions resolve synchronously across
-        # ranks).  α lower-bounds inter-node transfer time, so cross-shard
-        # edges always carry the plan's lookahead; shared-memory transport
-        # is intra-node and hence always shard-local under a node-aligned
-        # plan.  Plain engines ignore the tags.
-        plan = self.engine.plan
-        if plan is None:
-            shard = shard_from = None
-        else:
-            shard = plan.shard_of_node[dst_node]
-            shard_from = plan.shard_of_node[src_node]
-        self.engine.call_at(arrival, deliver, shard=shard,
-                            shard_from=shard_from,
+        self.engine.call_at(arrival, deliver,
                             label=f"{self.name}:deliver{msg.msg_id}")
         return msg, done
 

@@ -10,7 +10,6 @@ from repro.obs.events import Category, InstantEvent, SpanEvent
 from repro.obs.export import (
     TraceValidationError,
     chrome_trace,
-    merge_trace_streams,
     metrics_table,
     rank_timeline,
     validate_chrome_trace,
@@ -42,7 +41,6 @@ __all__ = [
     "SpanEvent",
     "TraceValidationError",
     "chrome_trace",
-    "merge_trace_streams",
     "metrics_table",
     "rank_timeline",
     "validate_chrome_trace",

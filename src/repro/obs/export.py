@@ -159,28 +159,6 @@ def validate_chrome_trace(doc: Any) -> None:
         raise TraceValidationError(errors)
 
 
-# --------------------------------------------------------- shard streams
-
-def merge_trace_streams(streams) -> list:
-    """Merge per-shard ``(time, label)`` dispatch streams into one
-    virtual-time ordering of ``(time, shard, label)`` tuples.
-
-    Each input stream is already time-ordered (a shard fires its own
-    events in order); ties across shards break on shard id, so the merged
-    ordering is deterministic no matter how the shards interleaved in wall
-    clock.  Used by :mod:`repro.simtime.sharded` to present one coherent
-    timeline from parallel execution.
-    """
-    import heapq as _heapq
-
-    def keyed(stream, shard):
-        return ((t, shard, label) for (t, label) in stream)
-
-    return list(_heapq.merge(
-        *(keyed(stream, shard) for shard, stream in enumerate(streams))
-    ))
-
-
 # ----------------------------------------------------------------- tables
 
 def metrics_table(metrics: MetricsRegistry, title: str = "metrics"):

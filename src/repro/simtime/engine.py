@@ -24,7 +24,6 @@ Design notes
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import math
 from typing import Any, Callable, Optional
@@ -92,11 +91,6 @@ class Engine:
         self._next_seq = 0
         self._live = 0
         self._pending_watchers = 0
-        #: the :class:`~repro.simtime.sharded.ShardPlan` when this engine is
-        #: sharded, else None.  Layers that know the destination of an event
-        #: (fabric delivery, coordinator control messages) consult it to tag
-        #: the event's shard; on a plain engine the tag is ignored.
-        self.plan = None
         self.trace: Optional[list[tuple[float, str]]] = None
         #: structured tracer (NULL_TRACER unless process-wide tracing is on)
         self.tracer = _attach_tracer(self)
@@ -119,20 +113,11 @@ class Engine:
         *args: Any,
         priority: int = 0,
         label: str = "",
-        shard: Optional[int] = None,
-        shard_from: Optional[int] = None,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``.
 
         ``when`` may equal :attr:`now` (the event fires before the engine
         next advances time) but may not lie in the past.
-
-        ``shard`` is the event's shard affinity hint and ``shard_from`` the
-        edge's topological origin (for message edges whose source is not the
-        currently dispatching shard — completions resolve synchronously
-        across ranks, so dispatch context is not provenance).  The plain
-        engine has a single event queue and ignores both (see
-        :class:`~repro.simtime.sharded.ShardedEngine`).
         """
         now = self._now
         if when < now:
@@ -159,21 +144,12 @@ class Engine:
         *args: Any,
         priority: int = 0,
         label: str = "",
-        shard: Optional[int] = None,
-        shard_from: Optional[int] = None,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         return self.call_at(self._now + delay, fn, *args, priority=priority,
-                            label=label, shard=shard, shard_from=shard_from)
-
-    @contextlib.contextmanager
-    def scheduling_shard(self, shard: Optional[int]):
-        """Context manager fixing the shard affinity of events scheduled
-        inside it (launch/restart seeding).  A no-op on the plain engine;
-        :class:`~repro.simtime.sharded.ShardedEngine` overrides it."""
-        yield
+                            label=label)
 
     # ------------------------------------------------------------- execution
 

@@ -183,34 +183,7 @@ def test_lulesh_joins_the_mix_at_cube_rank_counts():
     assert res.ok, res.divergences
 
 
-# ------------------------------------------------- shard / protocol axes
-
-def test_sharded_cycle_matches_sequential_fingerprint():
-    """shards=2 reruns the identical cycle on merged sharded engines; the
-    restart fingerprint must be bit-identical to the sequential cycle's."""
-    seq = differential_cycle("gromacs", SRC, DST, seed=1)
-    shd = differential_cycle("gromacs", SRC, DST, seed=1, shards=2)
-    assert shd.ok, shd.divergences
-    assert shd.shards == 2 and seq.shards == 1
-    assert shd.fingerprint == seq.fingerprint
-    assert shd.ckpt_time == seq.ckpt_time
-    assert "--shards 2" in shd.repro()
-    assert "--shards" not in seq.repro()
-
-
-def test_shards_both_axis_runs_the_differential():
-    """--shards both doubles every cycle (sequential + 2-shard) and
-    cross-checks the fingerprints; the sweep stays green."""
-    report = run_conformance(tier="quick", seed=0, apps=("gromacs",),
-                             n_sources=1, shards="both", jobs=1)
-    assert report.ok, report.summary()
-    assert report.shards == "both"
-    assert "shards=both" in report.summary()
-    by_shards = {}
-    for r in report.results:
-        by_shards.setdefault((r.pair, r.k), set()).add(r.shards)
-    assert all(s == {1, 2} for s in by_shards.values())
-
+# ------------------------------------------------- protocol / compact axes
 
 def test_alternate_protocol_chains_across_engines():
     """A chained cycle cut under alg2 -> topo -> alg2: a checkpoint taken
@@ -228,37 +201,74 @@ def test_alternate_protocol_chains_across_engines():
     assert {r.k for r in report.results} == {0, 1}
 
 
-def test_cross_shard_oracle_flags_fingerprint_drift():
-    """The extra oracle behind --shards both: same cycle, different shard
-    counts, different fingerprints => a cross_shard divergence pinned on
-    the sharded run."""
-    from dataclasses import replace
+def _cycle(**kw):
+    from repro.conformance.harness import CycleResult
 
-    from repro.conformance.harness import CycleResult, _cross_shard_check
+    fields = dict(app="gromacs", src=SRC.as_tuple(), dst=DST.as_tuple(),
+                  seed=0, k=0, ckpt_time=0.01, divergences=(),
+                  fingerprint="aaaa")
+    fields.update(kw)
+    return CycleResult(**fields)
 
-    base = CycleResult(app="gromacs", src=SRC.as_tuple(),
-                       dst=DST.as_tuple(), seed=0, k=0, ckpt_time=0.01,
-                       divergences=(), fingerprint="aaaa", shards=1)
-    agree = _cross_shard_check([base, replace(base, shards=2)])
+
+def test_cross_protocol_oracle_flags_fingerprint_drift():
+    """The extra oracle behind --protocol both: same cycle, different
+    protocols, different fingerprints => a cross_protocol divergence pinned
+    on the topo run; cycles of other apps are never paired."""
+    from repro.conformance.harness import _cross_axis_check
+
+    def check(results):
+        return _cross_axis_check(results, "protocol", "alg2",
+                                 oracle="cross_protocol")
+
+    base = _cycle(protocol="alg2")
+    agree = check([base, _cycle(protocol="topo")])
     assert all(r.ok for r in agree)
 
-    drifted = _cross_shard_check(
-        [base, replace(base, shards=2, fingerprint="bbbb")])
+    drifted = check([base, _cycle(protocol="topo", fingerprint="bbbb"),
+                     _cycle(app="hpcg", protocol="topo", fingerprint="cccc")])
     flagged = [r for r in drifted if not r.ok]
     assert len(flagged) == 1
-    assert flagged[0].shards == 2
-    assert flagged[0].divergences[0].oracle == "cross_shard"
-    # the sequential side stays clean
-    assert next(r for r in drifted if r.shards == 1).ok
+    assert flagged[0].protocol == "topo"
+    assert flagged[0].divergences[0].oracle == "cross_protocol"
+    assert flagged[0].divergences[0].expected == "aaaa"
+    # the baseline side stays clean
+    assert drifted[0].ok
 
 
-def test_shards_axis_parsing_and_validation():
-    from repro.conformance.harness import _parse_shards_axis
+def test_cross_compact_oracle_checks_fingerprint_and_replay_count():
+    """The extra oracle behind --compact both: the compacted run must
+    match the full run's fingerprint *and* replay no more entries."""
+    from repro.conformance.harness import (
+        _compacted_replays_no_more,
+        _cross_axis_check,
+    )
 
-    assert _parse_shards_axis("both") == (1, 2)
-    assert _parse_shards_axis("2") == (2,)
-    assert _parse_shards_axis(3) == (3,)
-    with pytest.raises(ValueError, match="shards"):
-        _parse_shards_axis("0")
+    def check(results):
+        return _cross_axis_check(results, "compact", False,
+                                 oracle="cross_compact",
+                                 extra=_compacted_replays_no_more)
+
+    full = _cycle(compact=False, replayed=100)
+    assert all(r.ok for r in check([full, _cycle(compact=True,
+                                                 replayed=8)]))
+
+    drifted = check([full, _cycle(compact=True, replayed=101,
+                                  fingerprint="bbbb")])
+    assert drifted[0].ok
+    assert [d.oracle for d in drifted[1].divergences] == [
+        "cross_compact", "cross_compact"]
+    assert drifted[1].divergences[1].actual == 101
+
+    # a compacted cycle with no full-log peer is left alone
+    lone = _cycle(compact=True, seed=9, fingerprint="bbbb")
+    assert check([full, lone])[1].ok
+
+
+def test_unknown_axis_values_rejected():
+    from repro.conformance.harness import _parse_compact_axis
+
     with pytest.raises(ValueError, match="unknown protocol"):
         run_conformance(tier="quick", protocol="nope")
+    with pytest.raises(ValueError, match="unknown compact axis"):
+        _parse_compact_axis("sometimes")

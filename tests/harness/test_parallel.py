@@ -191,59 +191,3 @@ def test_parallel_matches_sequential(name, runner):
     assert par.notes == seq.notes
     assert render_table(par) == render_table(seq), \
         f"{name}: jobs=4 must render byte-identically to jobs=1"
-
-
-# ----------------------------------------------------------- worker pool
-
-
-def _add(a, b):
-    return a + b
-
-
-class TestWorkerPool:
-    """The persistent pool behind the sharded event backend: round-trip
-    calls, strict submit/result pairing, error surfacing, idempotent
-    shutdown."""
-
-    def test_round_trip_and_worker_identity(self):
-        from repro.harness.parallel import WorkerPool
-
-        with WorkerPool(2) as pool:
-            assert pool.call(0, _add, 1, 2) == 3
-            assert pool.call(1, _add, 10, 20) == 30
-            # workers are persistent: a second call reuses the process
-            assert pool.call(0, _add, 2, 2) == 4
-
-    def test_overlapping_submits_run_concurrently(self):
-        from repro.harness.parallel import WorkerPool
-
-        with WorkerPool(3) as pool:
-            for k in range(3):
-                pool.submit(k, _square, k)
-            assert [pool.result(k) for k in range(3)] == [0, 1, 4]
-
-    def test_double_submit_rejected(self):
-        from repro.harness.parallel import WorkerPool
-
-        with WorkerPool(1) as pool:
-            pool.submit(0, _add, 1, 1)
-            with pytest.raises(RuntimeError, match="in flight"):
-                pool.submit(0, _add, 2, 2)
-            assert pool.result(0) == 2
-
-    def test_worker_exception_surfaces_as_cell_error(self):
-        from repro.harness.parallel import WorkerPool
-
-        with WorkerPool(1) as pool:
-            with pytest.raises(CellError, match="cell exploded on 7"):
-                pool.call(0, _fail, 7)
-            # the worker survives its task's exception
-            assert pool.call(0, _add, 3, 4) == 7
-
-    def test_close_is_idempotent(self):
-        from repro.harness.parallel import WorkerPool
-
-        pool = WorkerPool(2)
-        assert pool.call(1, _square, 5) == 25
-        pool.close()
-        pool.close()

@@ -15,11 +15,6 @@ def _doc(**overrides):
     metrics = {
         "engine_events_per_s": {"value": 1000.0, "unit": "events/s",
                                 "higher_is_better": True},
-        "engine_events_per_s_sharded": {"value": 900.0, "unit": "events/s",
-                                        "higher_is_better": True,
-                                        "shards": 2, "windows": 3,
-                                        "messages": 8,
-                                        "informational": True},
         "p2p_msgs_per_s": {"value": 100.0, "unit": "msgs/s",
                            "higher_is_better": True},
         "allreduce_per_s": {"value": 50.0, "unit": "allreduces/s",
@@ -51,7 +46,7 @@ def _doc(**overrides):
     return {
         "schema": BENCH_SCHEMA,
         "quick": True,
-        "host": {"cpu_count": 1, "python": "3.11", "shards": 2},
+        "host": {"cpu_count": 1, "python": "3.11"},
         "metrics": metrics,
     }
 
@@ -60,13 +55,19 @@ def test_valid_doc_passes_and_covers_core_metrics():
     doc = _doc()
     validate_bench_doc(doc)
     assert set(CORE_METRICS) <= set(doc["metrics"])
+    # older documents that still carry a retired metric or host field
+    # validate under the same schema tag
+    doc["host"]["retired_field"] = 2
+    doc["metrics"]["retired_metric"] = {
+        "value": 900.0, "unit": "events/s", "higher_is_better": True}
+    validate_bench_doc(doc)
 
 
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(schema="other/9"),
     lambda d: d["host"].update(cpu_count=0),
     lambda d: d["metrics"].pop("sweep_speedup_j2"),
-    lambda d: d["metrics"].pop("engine_events_per_s_sharded"),
+    lambda d: d["metrics"].pop("p2p_msgs_per_s"),
     lambda d: d["metrics"].pop("ckpt_quiesce_wait_s"),
     lambda d: d["metrics"].pop("restart_replay_s_vs_log_len"),
     lambda d: d["metrics"]["fig2_cell_s"].update(value=float("nan")),
@@ -118,11 +119,6 @@ def test_run_suite_flags_speedup_on_single_core_hosts(monkeypatch):
 
     monkeypatch.setattr(pb.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(pb, "bench_engine_events", lambda *a, **k: 1e6)
-    monkeypatch.setattr(
-        pb, "bench_engine_events_sharded",
-        lambda *a, **k: {"events_per_s": 1.5e6, "windows": 3.0,
-                         "messages": 8.0},
-    )
     monkeypatch.setattr(pb, "bench_p2p_message_rate", lambda *a, **k: 1e4)
     monkeypatch.setattr(pb, "bench_allreduce_rate", lambda *a, **k: 1e3)
     monkeypatch.setattr(pb, "bench_ckpt_restart_cycle", lambda *a, **k: 0.02)
@@ -144,39 +140,32 @@ def test_run_suite_flags_speedup_on_single_core_hosts(monkeypatch):
     doc = pb.run_suite(quick=True)
     validate_bench_doc(doc)
     assert doc["metrics"]["sweep_speedup_j2"]["informational"] is True
-    assert doc["metrics"]["engine_events_per_s_sharded"]["informational"] is True
-    assert doc["host"]["shards"] == pb.BENCH_SHARDS
 
     monkeypatch.setattr(pb.os, "cpu_count", lambda: 8)
     doc = pb.run_suite(quick=True)
     assert doc["metrics"]["sweep_speedup_j2"]["informational"] is False
-    assert doc["metrics"]["engine_events_per_s_sharded"]["informational"] is False
 
 
 def test_default_threshold_keys_cover_parallel_metrics():
-    """compare_bench enforces the throughput/scaling trio by default; the
-    parallel pair opts out only via the per-host informational flag."""
+    """compare_bench enforces engine throughput and sweep scaling by
+    default; the parallel sweep opts out only via the per-host
+    informational flag."""
     from repro.harness.perfbench import THRESHOLDED_KEYS
 
-    assert THRESHOLDED_KEYS == ("engine_events_per_s",
-                                "engine_events_per_s_sharded",
-                                "sweep_speedup_j2")
+    assert THRESHOLDED_KEYS == ("engine_events_per_s", "sweep_speedup_j2")
     base = _doc()
     cur = _doc(engine_events_per_s={"value": 500.0})  # halved, default keys
     assert compare_bench(cur, base)
-    # sharded + sweep carry informational=True in the single-core doc:
-    # collapsing them must not trip the default gate
-    quiet = _doc(engine_events_per_s_sharded={"value": 1.0},
-                 sweep_speedup_j2={"value": 0.1})
+    # the sweep carries informational=True in the single-core doc:
+    # collapsing it must not trip the default gate
+    quiet = _doc(sweep_speedup_j2={"value": 0.1})
     assert compare_bench(quiet, base) == []
-    # ...but on a multi-core doc (flag off both sides) the sharded
+    # ...but on a multi-core doc (flag off both sides) the sweep
     # regression is caught without naming any keys explicitly
-    fast = _doc(engine_events_per_s_sharded={"informational": False,
-                                             "value": 2000.0})
-    slow = _doc(engine_events_per_s_sharded={"informational": False,
-                                             "value": 1000.0})
+    fast = _doc(sweep_speedup_j2={"informational": False, "value": 1.8})
+    slow = _doc(sweep_speedup_j2={"informational": False, "value": 0.9})
     failures = compare_bench(slow, fast)
-    assert failures and "engine_events_per_s_sharded" in failures[0]
+    assert failures and "sweep_speedup_j2" in failures[0]
 
 
 def test_restart_replay_bench_flat_under_compaction():
