@@ -19,52 +19,45 @@ harness:
 See ``docs/conformance.md``.
 """
 
-from repro.conformance.harness import (
-    ConformanceReport,
-    differential_cycle,
-    golden_run,
-    run_conformance,
-)
-from repro.conformance.matrix import (
-    FULL_TIER,
-    QUICK_TIER,
-    ConfigCell,
-    cluster_for,
-    enumerate_cells,
-    matrix_for,
-    source_cells,
-)
-from repro.conformance.oracles import (
-    ConservationTotals,
-    Divergence,
-    check_conservation,
-    check_golden_state,
-    check_handle_ledger,
-    check_replay_accounting,
-    check_replay_consistency,
-    conservation_totals,
-    state_fingerprint,
-)
+import importlib
 
-__all__ = [
-    "ConfigCell",
-    "ConformanceReport",
-    "ConservationTotals",
-    "Divergence",
-    "FULL_TIER",
-    "QUICK_TIER",
-    "check_conservation",
-    "check_golden_state",
-    "check_handle_ledger",
-    "check_replay_accounting",
-    "check_replay_consistency",
-    "cluster_for",
-    "conservation_totals",
-    "differential_cycle",
-    "enumerate_cells",
-    "golden_run",
-    "matrix_for",
-    "run_conformance",
-    "source_cells",
-    "state_fingerprint",
-]
+# Public name -> defining submodule.  The submodules load on first use
+# (PEP 562), so importing the oracles alone does not pull in the harness
+# and its process-pool machinery.
+_EXPORTS = {
+    **dict.fromkeys((
+        "ConformanceReport", "differential_cycle", "golden_run",
+        "run_conformance",
+    ), "harness"),
+    **dict.fromkeys((
+        "FULL_TIER", "QUICK_TIER", "ConfigCell", "cluster_for",
+        "enumerate_cells", "matrix_for", "source_cells",
+    ), "matrix"),
+    **dict.fromkeys((
+        "ConservationTotals", "Divergence", "check_conservation",
+        "check_golden_state", "check_handle_ledger",
+        "check_replay_accounting", "check_replay_consistency",
+        "conservation_totals", "state_fingerprint",
+    ), "oracles"),
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Resolve a re-exported name (or a submodule) on first use."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"),
+                        name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """Module attributes, including the names not yet loaded."""
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -141,7 +141,6 @@ class PendingRecv:
     tag: int
     out: Completion
     req: Optional[Request] = None  # lower-half request, if posted
-    attempt: Optional[Callable[[], None]] = None
     active: bool = True
     #: owning call-leaf instance (for the receive journal), if any
     journal_key: Optional[tuple] = None
@@ -435,17 +434,16 @@ class ManaRankRuntime:
         if rec.completion is not None and not rec.completion.done:
             rec.completion.resolve(value)
 
-    def attach_irecv(self, rec: VRequest) -> None:
-        """Post (or re-post, after restart) the receive behind ``rec``."""
+    def attach_irecv(self, rec: VRequest) -> Callable[[], None]:
+        """Post (or re-post, after restart) the receive behind ``rec``;
+        returns the thunk that attempts the match."""
         out = Completion(self.engine, label=f"mana-irecv-r{self.rank}")
         rec.completion = out
         pend = self.add_pending_recv(rec.vcomm, rec.src_world, rec.tag, out)
         # request persistence supersedes the leaf-scoped journal
         pend.journal_key = None
         out.on_done(lambda value: self.vreq_resolve(rec, value))
-        api_attempt = lambda: self.attempt_recv(pend)
-        pend.attempt = api_attempt
-        return api_attempt
+        return lambda: self.attempt_recv(pend)
 
     def _repost_pending_irecvs(self) -> None:
         for rec in self.vrequests.values():

@@ -19,7 +19,7 @@ restart cost then tracks live handles, not call history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 from repro.mana.virtualize import HandleKind, VirtualHandleTable
@@ -36,7 +36,7 @@ class ReplayError(RuntimeError):
     wedges with ``finished`` unresolved."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One recorded persistent call.
 
@@ -53,6 +53,12 @@ class LogEntry:
     result membership equals the parent's (see
     :mod:`repro.mana.log_compaction`).  ``None`` on non-comm entries and on
     entries restored from images that predate the field.
+
+    A long log holds one entry per persistent call ever made, so entries
+    are slotted (no per-instance ``__dict__``).  Pickle state is the tuple
+    of field values in declaration order.  Images written before entries
+    were slotted hold each entry's ``__dict__`` instead, possibly without
+    ``group``; :meth:`__setstate__` accepts both shapes.
     """
 
     op: str
@@ -62,18 +68,47 @@ class LogEntry:
     group: Optional[tuple] = None
 
 
-def _normalize_entry(e: Any) -> LogEntry:
+_ENTRY_FIELDS = tuple(f.name for f in fields(LogEntry))
+
+
+def _entry_getstate(self: LogEntry) -> tuple:
+    return tuple(getattr(self, name) for name in _ENTRY_FIELDS)
+
+
+def _entry_setstate(self: LogEntry, state: Any) -> None:
+    if isinstance(state, dict):  # an unslotted entry's __dict__
+        state = (state["op"], state["args"], state["result_vid"],
+                 state.get("result_kind", HandleKind.COMM),
+                 state.get("group"))
+    for name, value in zip(_ENTRY_FIELDS, state):
+        object.__setattr__(self, name, value)
+
+
+# Set after decoration: on Python 3.10, ``dataclass(slots=True)`` replaces
+# the pickle hooks of a frozen class with its own, which zip the field
+# names with whatever the state is (an old image's dict gives its keys).
+LogEntry.__getstate__ = _entry_getstate
+LogEntry.__setstate__ = _entry_setstate
+
+
+def _normalize_entry(e: LogEntry) -> LogEntry:
     """Back-compat shim for entries restored from older images.
 
     * ``type_create`` used to carry the vid redundantly in ``args`` next to
       ``result_vid``; ``result_vid``/``result_kind`` are now the single
       source of truth and the args shrink to ``(recipe,)``.
-    * ``group`` did not exist; unpickled old entries simply lack the
-      attribute (frozen dataclasses restore their ``__dict__`` verbatim).
+    * ``group`` did not exist.  Unpickling fills it with ``None`` (see
+      :func:`_entry_setstate`); an entry whose slot is still unset gets
+      ``None`` here.
+
+    Entries already in the current shape are returned as they are, so a
+    restored log is held once rather than rebuilt entry by entry.
     """
     args = e.args
     if e.op == "type_create" and len(args) == 2:
         args = (args[0],)
+    elif hasattr(e, "group"):
+        return e
     return LogEntry(e.op, args, e.result_vid, e.result_kind,
                     getattr(e, "group", None))
 

@@ -164,7 +164,6 @@ class ManaApi(MpiApi):
         def attempt() -> None:
             self.rt.attempt_recv(pend)
 
-        pend.attempt = attempt
         self._after_overhead(self._overhead(p2p=True), attempt)
         return out
 

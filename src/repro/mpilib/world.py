@@ -176,8 +176,10 @@ class MpiWorld:
         self._channel_seq: dict[tuple[int, int], int] = {}
         self._channel_last_arrival: dict[tuple[int, int], float] = {}
         self._colls: dict[tuple[int, int], _CollectiveContext] = {}
+        #: open comm-management instances: (op kind, parent context) ->
+        #: pickups so far, and -> {color: minted context id}
         self._ctx_pickups: dict[tuple, int] = {}
-        self._ctx_memo: dict[tuple, int] = {}
+        self._ctx_memo: dict[tuple, dict] = {}
         self.finalized = False
         #: cumulative p2p statistics (per experiment reporting)
         self.p2p_messages = 0
@@ -233,26 +235,34 @@ class MpiWorld:
         return handle
 
     def shared_context_id(
-        self, op_kind: str, parent_ctx: int, comm_size: int, color_key: Any = None
-    ) -> int:
+        self, op_kind: str, parent_ctx: int, comm_size: int,
+        color_key: Any = None, mint: bool = True,
+    ) -> Optional[int]:
         """Context id shared by every rank of one comm-management collective.
 
-        Each participating rank calls this exactly once per operation
-        instance, from its own completion callback.  Instances are identified
-        by a pickup counter: the ``i``-th block of ``comm_size`` pickups of
-        the same ``(op_kind, parent_ctx)`` belongs to instance ``i`` —
-        collectives on one communicator are totally ordered, so blocks never
-        interleave.  ``color_key`` separates the per-color communicators of
-        MPI_Comm_split within one instance.
+        Each rank of the parent communicator calls this exactly once per
+        operation instance, from its own completion callback.  Collectives
+        on one communicator are totally ordered, so the pickups of one
+        ``(op_kind, parent_ctx)`` instance never interleave with the next
+        one's: after ``comm_size`` pickups the instance is complete and its
+        bookkeeping is retired.  ``color_key`` separates the per-color
+        communicators of MPI_Comm_split within one instance; a rank that
+        gets no communicator (MPI_UNDEFINED) still counts its pickup, with
+        ``mint=False``, and gets None.
         """
-        count_key = (op_kind, parent_ctx)
-        count = self._ctx_pickups.get(count_key, 0)
-        self._ctx_pickups[count_key] = count + 1
-        instance = count // comm_size
-        memo_key = (op_kind, parent_ctx, instance, color_key)
-        ctx = self._ctx_memo.get(memo_key)
-        if ctx is None:
-            ctx = self._ctx_memo[memo_key] = self.new_context_id()
+        key = (op_kind, parent_ctx)
+        count = self._ctx_pickups.get(key, 0) + 1
+        colors = self._ctx_memo.setdefault(key, {})
+        ctx = None
+        if mint:
+            ctx = colors.get(color_key)
+            if ctx is None:
+                ctx = colors[color_key] = self.new_context_id()
+        if count == comm_size:
+            self._ctx_pickups.pop(key, None)
+            del self._ctx_memo[key]
+        else:
+            self._ctx_pickups[key] = count
         return ctx
 
     # -------------------------------------------------------- wire helpers
@@ -436,6 +446,8 @@ class MpiEndpoint:
         self._unexpected: list[MsgRecord] = []
         self._pending_rts: list[_PendingRendezvous] = []
         self._coll_seq: dict[int, int] = {}
+        #: rendezvous sends awaiting the receiver's clear-to-send, by send id
+        self._rendezvous_out: dict[int, tuple] = {}
         #: When set, *all* newly arriving messages are handed to this sink
         #: instead of the matching layer (MANA's drain mode).
         self.drain_sink: Optional[Callable[[MsgRecord], None]] = None
@@ -527,7 +539,6 @@ class MpiEndpoint:
                 self.rank, dst_world, 0, payload=rts,
                 meta={"kind": "rts", "send_id": send_id},
             )
-            self._rendezvous_out = getattr(self, "_rendezvous_out", {})
             self._rendezvous_out[send_id] = (record, done, cpu)
             arrival.on_done(
                 lambda msg: self.world.endpoints[dst_world]._on_rts(rts, send_id)
@@ -830,10 +841,13 @@ class MpiEndpoint:
         Local in this model (real MPI defers teardown until all pending
         communication completes; nothing here outlives the call).  The
         ledger release is idempotent, so replaying a free against a fresh
-        lower half is safe even if the handle was already retired.
+        lower half is safe even if the handle was already retired.  Context
+        ids are never reused, so the freed context's collective sequence
+        is dropped too.
         """
         self.calls += 1
         self.world.ledger.note_released("comm", comm.handle)
+        self._coll_seq.pop(comm.context_id, None)
 
     def comm_dup(self, comm: Optional[Communicator] = None) -> Completion:
         """Collective; resolves with this rank's new Communicator."""
@@ -867,6 +881,8 @@ class MpiEndpoint:
             me = comm.rank_of_world(self.rank)
             my_color = values[me][0]
             if my_color < 0:
+                self.world.shared_context_id("split", comm.context_id,
+                                             comm.size, mint=False)
                 out.resolve(None)
                 return
             members = sorted(

@@ -1,0 +1,71 @@
+"""Write the ``commchurn_v1`` old-image fixture.
+
+    PYTHONPATH=src python tests/mana/images/make_commchurn_v1.py OUTDIR
+
+Checkpoints a 4-rank ``commchurn`` job (uncompacted log) mid-run on two
+Aries nodes, saves the set with :func:`repro.mana.storage.save_checkpoint`,
+restarts it onto InfiniBand/Open MPI and writes the restarted run's final
+state fingerprint to ``OUTDIR/golden.json``.
+
+The committed ``commchurn_v1`` set was written by the code whose
+``LogEntry`` was a plain frozen dataclass (pickled state: the instance
+``__dict__``).  Re-running this script on newer code writes images in the
+newer format; keep the committed set as it is, and add a new versioned
+directory instead when the image format changes again.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+from repro.apps import get_app
+from repro.conformance.oracles import state_fingerprint
+from repro.hardware.cluster import local_cluster, make_cluster
+from repro.mana import restart
+from repro.mana.storage import load_checkpoint, save_checkpoint
+
+N_RANKS = 4
+N_STEPS = 6
+CKPT_AT = 0.004
+
+
+def app_config():
+    """(app spec, config) the fixture was written and is restarted with."""
+    spec = get_app("commchurn")
+    return spec, spec.default_config.scaled(n_steps=N_STEPS)
+
+
+def restart_fingerprint(directory) -> tuple[str, int]:
+    """(final-state fingerprint, replayed entries) of restarting the set in
+    ``directory`` onto two InfiniBand nodes running Open MPI."""
+    spec, cfg = app_config()
+    job = restart(load_checkpoint(directory), local_cluster(2),
+                  spec.build(cfg), ranks_per_node=2, mpi="openmpi")
+    job.run_to_completion()
+    return (state_fingerprint(job.states),
+            job.restart_report.replayed_entries)
+
+
+def main(out: str) -> None:
+    """Write the checkpoint set and its ``golden.json`` to ``out``."""
+    from repro.harness.experiments import _launch_mana_app
+
+    spec, cfg = app_config()
+    cluster = make_cluster("aries", 2, interconnect="aries")
+    job = _launch_mana_app(cluster, spec, cfg, N_RANKS, 2)
+    ckpt, _report = job.checkpoint_at(CKPT_AT)
+    outdir = pathlib.Path(out)
+    save_checkpoint(ckpt, outdir)
+    job.run_to_completion()
+    fingerprint, replayed = restart_fingerprint(outdir)
+    assert fingerprint == state_fingerprint(job.states), "restart diverged"
+    (outdir / "golden.json").write_text(json.dumps({
+        "fingerprint": fingerprint,
+        "replayed_entries": replayed,
+    }, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

@@ -233,6 +233,54 @@ class TestCommManagement:
         assert dones[3].value is None
         assert dones[0].value.size == 3
 
+    def test_undefined_split_rank_keeps_context_ids_in_step(self):
+        """A rank left out of a split (MPI_UNDEFINED) still takes part in
+        the instance: the next split of the same parent gives every rank
+        one fresh context, and messages on it match."""
+        engine, world = make_world()
+        first = run_collective(engine, world, lambda ep: ep.comm_split(
+            color=(-1 if ep.rank == 3 else 0), key=ep.rank))
+        second = run_collective(engine, world, lambda ep: ep.comm_split(
+            color=0, key=ep.rank))
+        assert first[3] is None
+        ctxs = {c.context_id for c in second}
+        assert len(ctxs) == 1
+        assert ctxs.isdisjoint({c.context_id for c in first[:3]})
+
+        payload = np.array([3.0, 1.0])
+        sent = world.endpoints[3].send(0, payload, tag=5, comm=second[3])
+        got = world.endpoints[0].recv(3, tag=5, comm=second[0])
+        engine.run()
+        assert sent.done and got.done
+        np.testing.assert_array_equal(got.value[0], payload)
+
+    def test_comm_management_bookkeeping_is_bounded(self):
+        """Dup + split + free rounds leave the per-context collective
+        sequences and the open comm-management instances at a size that
+        does not depend on the number of rounds."""
+        engine, world = make_world()
+
+        def churn(rounds):
+            for i in range(rounds):
+                dups = run_collective(engine, world, lambda ep: ep.comm_dup())
+                splits = run_collective(engine, world, lambda ep: ep.comm_split(
+                    color=(-1 if ep.rank == i % 4 else 0), key=ep.rank))
+                run_collective(engine, world, lambda ep: ep.barrier(
+                    comm=dups[ep.rank]))
+                members = [ep for ep in world.endpoints if splits[ep.rank]]
+                done = [ep.barrier(comm=splits[ep.rank]) for ep in members]
+                engine.run()
+                assert all(d.done for d in done)
+                for ep in world.endpoints:
+                    ep.comm_free(dups[ep.rank])
+                    if splits[ep.rank] is not None:
+                        ep.comm_free(splits[ep.rank])
+            return (world._ctx_memo.copy(), world._ctx_pickups.copy(),
+                    [len(ep._coll_seq) for ep in world.endpoints])
+
+        assert churn(3) == churn(12)
+        assert world._ctx_memo == {} and world._ctx_pickups == {}
+
     def test_split_comm_is_usable(self):
         engine, world = make_world()
         dones = [ep.comm_split(color=ep.rank % 2, key=ep.rank)
