@@ -132,9 +132,10 @@ class DrainBuffer:
         self.entries = [BufferedMsg(*row) for row in snap]
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class PendingRecv:
-    """A wrapper-level receive that has not yet returned data to the app."""
+    """A wrapper-level receive that has not yet returned data to the app
+    (compared by identity: two receives with one envelope are distinct)."""
 
     vcomm: int
     src_world: int                 # world rank or ANY_SOURCE
@@ -309,6 +310,8 @@ class ManaRankRuntime:
 
         #: open per-rank checkpoint spans (tracing only)
         self._drain_span = None
+        #: label of every MPI_Irecv completion (built once, not per call)
+        self._irecv_label = f"mana-irecv-r{rank}"
         #: drained-message counter (memoized; metrics are always on)
         self._m_drained = engine.metrics.counter(
             "mana.drained_messages", rank=rank
@@ -379,13 +382,17 @@ class ManaRankRuntime:
         self.sends_done[key] = pos + 1
 
     def _on_leaf_done(self, key: tuple) -> None:
-        """Driver hook: the leaf finished; its guard/journal state retires."""
-        self.sends_done.pop(key, None)
-        self._send_seq.pop(key, None)
-        self.recv_journal.pop(key, None)
-        self._recv_seq.pop(key, None)
-        self.vreq_sites.pop(key, None)
-        self._vreq_seq.pop(key, None)
+        """Driver hook: the leaf finished; its guard/journal state retires.
+
+        Runs after every call leaf, so it touches only the maps that hold
+        anything (a blocking send or receive leaves most of them empty).
+        """
+        for table in (self.sends_done, self._send_seq, self.recv_journal,
+                      self._recv_seq, self.vreq_sites, self._vreq_seq):
+            if table:
+                table.pop(key, None)
+        if not self._waited_by_leaf:
+            return
         for kind, vreq in self._waited_by_leaf.pop(key, ()):
             if kind == "p2p":
                 self.vrequests.pop(vreq, None)
@@ -437,7 +444,7 @@ class ManaRankRuntime:
     def attach_irecv(self, rec: VRequest) -> Callable[[], None]:
         """Post (or re-post, after restart) the receive behind ``rec``;
         returns the thunk that attempts the match."""
-        out = Completion(self.engine, label=f"mana-irecv-r{self.rank}")
+        out = Completion(self.engine, self._irecv_label)
         rec.completion = out
         pend = self.add_pending_recv(rec.vcomm, rec.src_world, rec.tag, out)
         # request persistence supersedes the leaf-scoped journal
@@ -513,20 +520,22 @@ class ManaRankRuntime:
         """
         if not pend.active:
             return
-        if pend.journal_key is not None:
+        if pend.journal_key is not None and self.recv_journal:
             journal = self.recv_journal.get(pend.journal_key, {})
             if pend.journal_pos in journal:
                 data, status = journal[pend.journal_pos]
                 self._finish_recv(pend, data, status, count=False,
                                   journal=False)
                 return
-        hit = self.buffer.take(pend.vcomm, pend.src_world, pend.tag)
-        if hit is not None:
-            self._finish_recv(pend, hit.data,
-                              Status(self._local_rank_of(pend.vcomm, hit.src_world),
-                                     hit.tag, hit.size),
-                              count=False, journal=True)
-            return
+        if self.buffer.entries:
+            hit = self.buffer.take(pend.vcomm, pend.src_world, pend.tag)
+            if hit is not None:
+                self._finish_recv(
+                    pend, hit.data,
+                    Status(self._local_rank_of(pend.vcomm, hit.src_world),
+                           hit.tag, hit.size),
+                    count=False, journal=True)
+                return
         real = self.table.resolve(HandleKind.COMM, pend.vcomm)
         source = (
             ANY_SOURCE if pend.src_world == ANY_SOURCE
@@ -543,17 +552,23 @@ class ManaRankRuntime:
             return
         data, status = value
         # status.source is comm-local; bookmark receives by world rank
-        real = self.table.resolve(HandleKind.COMM, pend.vcomm)
+        src_world = pend.src_world
+        if src_world == ANY_SOURCE:
+            real = self.table.resolve(HandleKind.COMM, pend.vcomm)
+            src_world = real.world_of_rank(status.source)
         self._finish_recv(pend, data, status, count=True, journal=True,
-                          src_world=real.world_of_rank(status.source))
+                          src_world=src_world)
 
     def _finish_recv(self, pend: PendingRecv, data: Any, status: Status,
                      count: bool, journal: bool,
                      src_world: Optional[int] = None) -> None:
         pend.active = False
         pend.req = None
-        if pend in self.pending_recvs:
-            self.pending_recvs.remove(pend)
+        pending = self.pending_recvs
+        for i, other in enumerate(pending):
+            if other is pend:
+                del pending[i]
+                break
         if count:
             self.counters.count_receive(src_world)
         if journal and pend.journal_key is not None:

@@ -60,6 +60,8 @@ class SplitProcess:
     ) -> None:
         self.rank = rank
         self.kernel = kernel
+        #: the kernel model is frozen, so one transition's price is fixed
+        self._transition_cost = kernel.upper_lower_transition()
         self.space = AddressSpace()
         self.fs_switches = 0
 
@@ -145,7 +147,7 @@ class SplitProcess:
     def fs_transition_cost(self) -> float:
         """Charge (and count) one upper→lower→upper control transfer."""
         self.fs_switches += 2
-        return self.kernel.upper_lower_transition()
+        return self._transition_cost
 
     def upper_bytes(self) -> int:
         """Modeled size of the checkpoint payload (upper half only)."""

@@ -47,6 +47,9 @@ class VirtualHandleTable:
         # virtual ids start above the predefined range
         self._counters = {kind: itertools.count(1000) for kind in HandleKind}
         self._real: dict[HandleKind, dict[int, Any]] = {k: {} for k in HandleKind}
+        #: ``_real[HandleKind.COMM]``, the map every p2p wrapper call reads:
+        #: reached without hashing the enum member (a Python-level call)
+        self._comms = self._real[HandleKind.COMM]
         #: vids whose real side was discarded (restore / clear_reals) and
         #: that replay is therefore entitled to rebind
         self._expected: dict[HandleKind, set[int]] = {k: set() for k in HandleKind}
@@ -104,6 +107,8 @@ class VirtualHandleTable:
         """Virtual id -> current real object (counts as one modeled lookup)."""
         self.lookups += 1
         try:
+            if kind is HandleKind.COMM:
+                return self._comms[int(virtual)]
             return self._real[kind][int(virtual)]
         except KeyError:
             raise VirtualizationError(

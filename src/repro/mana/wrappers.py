@@ -45,6 +45,19 @@ P2P_METADATA_COST = 60e-9
 from dataclasses import dataclass
 
 
+class _Labels(dict):
+    """One rank's wrapper completion labels, ``mana-<call>-r<rank>``: each
+    string is built on first use and reused by every later call."""
+
+    def __init__(self, rank: int) -> None:
+        super().__init__()
+        self.rank = rank
+
+    def __missing__(self, call: str) -> str:
+        label = self[call] = f"mana-{call}-r{self.rank}"
+        return label
+
+
 @dataclass
 class FileBinding:
     """Wrapper-side record behind a virtual file handle: the live lower-half
@@ -67,6 +80,9 @@ class ManaApi(MpiApi):
         self._m_lookups = metrics.counter(
             "mana.vhandle_lookups", rank=runtime.rank
         )
+        self._labels = _Labels(runtime.rank)
+        #: label of the event that ends a call's interposition overhead
+        self._wrapper_label = f"mana-r{runtime.rank}:wrapper"
 
     # ----------------------------------------------------------- properties
 
@@ -103,13 +119,14 @@ class ManaApi(MpiApi):
         return cost
 
     def _trace_call(self, name: str, out: Completion) -> None:
-        """Record an MPI-call span from now until ``out`` resolves."""
+        """Record an MPI-call span from now until ``out`` resolves (callers
+        check ``engine.tracer.enabled`` first)."""
         tr = self.rt.engine.tracer
-        if tr.enabled:
-            span = tr.begin(name, cat=Category.MPI, rank=self.rank)
-            out.on_done(lambda _v: tr.end(span))
+        span = tr.begin(name, cat=Category.MPI, rank=self.rank)
+        out.on_done(lambda _v: tr.end(span))
 
-    def _after_overhead(self, cost: float, fn: Callable[[], None]) -> None:
+    def _after_overhead(self, cost: float, fn: Callable[..., None],
+                        *args: Any) -> None:
         """Charge interposition cost *serially* on this rank's CPU.
 
         Back-to-back wrapper calls issued from one leaf (e.g. the sends and
@@ -123,48 +140,51 @@ class ManaApi(MpiApi):
         start = max(engine.now, self.rt.cpu_busy_until)
         fire_at = start + cost
         self.rt.cpu_busy_until = fire_at
-        engine.call_at(fire_at, fn, label=f"mana-r{self.rank}:wrapper")
+        engine._post(fire_at, fn, args, self._wrapper_label)
 
     # ------------------------------------------------------------------ p2p
 
     def send(self, dest: int, data: Any, tag: int = 0,
              comm: Optional[int] = None, size: Optional[int] = None) -> Completion:
         """MPI_Send (blocking; resolves when the buffer is reusable)."""
+        rt = self.rt
         real = self._resolve_comm(comm)
         real.validate_rank(dest)
         dst_world = real.world_of_rank(dest)
         # Metadata recorded at call time: this is the sender-side bookmark.
-        self.rt.counters.count_send(dst_world)
-        self.rt.profile_op("send", size if size is not None else 0)
-        out = Completion(self.rt.engine, label=f"mana-send-r{self.rank}")
-        self._trace_call("send", out)
-
-        def issue() -> None:
-            self.rt.endpoint.send(
-                dest, data, tag=tag, comm=real, size=size
-            ).on_done(out.resolve)
-
-        self._after_overhead(self._overhead(p2p=True), issue)
+        rt.counters.count_send(dst_world)
+        if rt.profile is not None:
+            rt.profile_op("send", size if size is not None else 0)
+        out = Completion(rt.engine, self._labels["send"])
+        if rt.engine.tracer.enabled:
+            self._trace_call("send", out)
+        self._after_overhead(self._overhead(p2p=True), self._issue_send,
+                             dest, data, tag, real, size, out)
         return out
+
+    def _issue_send(self, dest: int, data: Any, tag: int, real: Communicator,
+                    size: Optional[int], out: Completion) -> None:
+        self.rt.endpoint.send(
+            dest, data, tag=tag, comm=real, size=size
+        ).on_done(out.resolve)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Optional[int] = None) -> Completion:
         """MPI_Recv; resolves with (data, Status)."""
+        rt = self.rt
         vcomm = VCOMM_WORLD if comm is None else comm
         real = self._resolve_comm(comm)
         real.validate_rank(source, allow_any=True)
         src_world = (
             ANY_SOURCE if source == ANY_SOURCE else real.world_of_rank(source)
         )
-        self.rt.profile_op("recv")
-        out = Completion(self.rt.engine, label=f"mana-recv-r{self.rank}")
-        self._trace_call("recv", out)
-        pend = self.rt.add_pending_recv(vcomm, src_world, tag, out)
-
-        def attempt() -> None:
-            self.rt.attempt_recv(pend)
-
-        self._after_overhead(self._overhead(p2p=True), attempt)
+        if rt.profile is not None:
+            rt.profile_op("recv")
+        out = Completion(rt.engine, self._labels["recv"])
+        if rt.engine.tracer.enabled:
+            self._trace_call("recv", out)
+        pend = rt.add_pending_recv(vcomm, src_world, tag, out)
+        self._after_overhead(self._overhead(p2p=True), rt.attempt_recv, pend)
         return out
 
     def sendrecv(self, dest: int, data: Any, source: int,
@@ -199,8 +219,7 @@ class ManaApi(MpiApi):
             )
         outs = [self.recv(source=src, tag=tag, comm=comm)
                 for src, tag in recvs]
-        return all_of(self.rt.engine, outs,
-                      label=f"mana-exchange-r{self.rank}")
+        return all_of(self.rt.engine, outs, label=self._labels["exchange"])
 
     # -------------------------------------------------- nonblocking p2p
     #
@@ -240,7 +259,7 @@ class ManaApi(MpiApi):
 
     def _wait_p2p(self, rec) -> Completion:
         rt = self.rt
-        out = Completion(rt.engine, label=f"mana-wait-p2p-r{self.rank}")
+        out = Completion(rt.engine, self._labels["wait-p2p"])
 
         def finish(value: Any) -> None:
             rec.done = True
@@ -265,7 +284,7 @@ class ManaApi(MpiApi):
         from repro.simtime.engine import all_of
 
         return all_of(self.rt.engine, [self.wait(v) for v in vreqs],
-                      label=f"mana-waitall-r{self.rank}")
+                      label=self._labels["waitall"])
 
     # ------------------------------------------ collectives (Algorithm 1)
 
@@ -279,8 +298,9 @@ class ManaApi(MpiApi):
         rt = self.rt
         real = self._resolve_comm(vcomm)
         rt.profile_op(label)
-        out = Completion(rt.engine, label=f"mana-{label}-r{self.rank}")
-        self._trace_call(label, out)
+        out = Completion(rt.engine, self._labels[label])
+        if rt.engine.tracer.enabled:
+            self._trace_call(label, out)
 
         if not rt.two_phase_enabled:
             # Ablation: bare interposition, no Algorithm-1 wrapper.
@@ -429,7 +449,7 @@ class ManaApi(MpiApi):
         rt = self.rt
         self._resolve_comm(vcomm)  # validates (and charges a lookup)
         rec = rt.new_icoll(op, VCOMM_WORLD if vcomm is None else vcomm, args)
-        out = Completion(rt.engine, label=f"mana-i{op}-r{self.rank}")
+        out = Completion(rt.engine, self._labels["i" + op])
         self._after_overhead(self._overhead(), lambda: out.resolve(rec.vreq))
         return out
 
@@ -477,8 +497,9 @@ class ManaApi(MpiApi):
         rec = rt.icolls.get(vreq)
         if rec is None:
             raise VirtualizationError(f"unknown request handle {vreq}")
-        out = Completion(rt.engine, label=f"mana-wait-r{self.rank}")
-        self._trace_call("wait", out)
+        out = Completion(rt.engine, self._labels["wait"])
+        if rt.engine.tracer.enabled:
+            self._trace_call("wait", out)
         real = self._resolve_comm(rec.vcomm)
 
         def enter() -> None:
@@ -533,14 +554,14 @@ class ManaApi(MpiApi):
         rt = self.rt
         p2p = rt.vrequests.get(vreq)
         if p2p is not None:
-            out = Completion(rt.engine, label=f"mana-test-r{self.rank}")
+            out = Completion(rt.engine, self._labels["test"])
             self._after_overhead(self._overhead(),
                                  lambda: out.resolve(bool(p2p.done)))
             return out
         rec = rt.icolls.get(vreq)
         if rec is None:
             raise VirtualizationError(f"unknown request handle {vreq}")
-        out = Completion(rt.engine, label=f"mana-test-r{self.rank}")
+        out = Completion(rt.engine, self._labels["test"])
         self._after_overhead(
             self._overhead(),
             lambda: out.resolve(
@@ -563,7 +584,7 @@ class ManaApi(MpiApi):
         recorded.  Resolves with the new *virtual* handle (or None)."""
         rt = self.rt
         parent_vid = VCOMM_WORLD if vparent is None else vparent
-        out = Completion(rt.engine, label=f"mana-{label}-r{self.rank}")
+        out = Completion(rt.engine, self._labels[label])
 
         def register(real_result: Any) -> None:
             if real_result is None:
@@ -645,7 +666,7 @@ class ManaApi(MpiApi):
         """MPI_File_open (collective); resolves with a virtual file handle."""
         rt = self.rt
         vcomm = VCOMM_WORLD if comm is None else comm
-        out = Completion(rt.engine, label=f"mana-fopen-r{self.rank}")
+        out = Completion(rt.engine, self._labels["fopen"])
 
         def register(real: Any) -> None:
             binding = FileBinding(real=real, vcomm=vcomm, path=path, mode=mode)
@@ -667,7 +688,7 @@ class ManaApi(MpiApi):
                       size: Optional[int] = None) -> Completion:
         """Independent write at an explicit offset."""
         binding = self._resolve_file(vfile)
-        out = Completion(self.rt.engine, label=f"mana-fwrite-r{self.rank}")
+        out = Completion(self.rt.engine, self._labels["fwrite"])
         self._after_overhead(
             self._overhead(),
             lambda: binding.real.write_at(offset, data, size=size)
@@ -679,7 +700,7 @@ class ManaApi(MpiApi):
                      size: Optional[int] = None) -> Completion:
         """Independent read; resolves with the bytes."""
         binding = self._resolve_file(vfile)
-        out = Completion(self.rt.engine, label=f"mana-fread-r{self.rank}")
+        out = Completion(self.rt.engine, self._labels["fread"])
         self._after_overhead(
             self._overhead(),
             lambda: binding.real.read_at(offset, length, size=size)

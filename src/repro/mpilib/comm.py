@@ -46,9 +46,10 @@ class Group:
 
     def translate(self, group_rank: int) -> int:
         """Group rank -> world rank."""
-        if not 0 <= group_rank < self.size:
-            raise MpiError(f"rank {group_rank} out of range for group of {self.size}")
-        return self.world_ranks[group_rank]
+        ranks = self.world_ranks
+        if not 0 <= group_rank < len(ranks):
+            raise MpiError(f"rank {group_rank} out of range for group of {len(ranks)}")
+        return ranks[group_rank]
 
     # ------------------------------------------------ MPI_Group_* algebra
 
@@ -97,19 +98,28 @@ class Communicator:
         """Number of members."""
         return self.group.size
 
+    # The three lookups below run on every point-to-point call, so they read
+    # the group's rank tuple directly instead of going through ``size``.
+
     def rank_of_world(self, world_rank: int) -> Optional[int]:
         """World rank -> communicator rank (None for non-members)."""
-        return self.group.rank_of(world_rank)
+        try:
+            return self.group.world_ranks.index(world_rank)
+        except ValueError:
+            return None
 
     def world_of_rank(self, comm_rank: int) -> int:
         """Communicator rank -> world rank."""
-        return self.group.translate(comm_rank)
+        ranks = self.group.world_ranks
+        if 0 <= comm_rank < len(ranks):
+            return ranks[comm_rank]
+        return self.group.translate(comm_rank)  # raises MpiError
 
     def validate_rank(self, comm_rank: int, allow_any: bool = False) -> None:
         """Raise MpiError if the rank is invalid in this communicator."""
         if allow_any and comm_rank == ANY_SOURCE:
             return
-        if not 0 <= comm_rank < self.size:
+        if not 0 <= comm_rank < len(self.group.world_ranks):
             raise MpiError(
                 f"rank {comm_rank} invalid in communicator {self.name!r} "
                 f"of size {self.size}"

@@ -27,6 +27,10 @@ from repro.net.base import DriverRegionSpec
 
 MB = 1 << 20
 
+#: handle kind -> the tag bits :meth:`MpiImplementation.new_handle` sets
+_KIND_TAGS = {"comm": 0x1, "group": 0x2, "datatype": 0x3, "request": 0x4,
+              "op": 0x5, "win": 0x6, "file": 0x7}
+
 
 @dataclass
 class CollectiveTuning:
@@ -71,9 +75,7 @@ class MpiImplementation:
     def new_handle(self, kind: str) -> int:
         """Mint a fresh real handle value in this implementation's style."""
         n = next(self._handle_counter)
-        kind_tag = {"comm": 0x1, "group": 0x2, "datatype": 0x3, "request": 0x4,
-                    "op": 0x5, "win": 0x6, "file": 0x7}.get(kind, 0xF)
-        return self.handle_base + (kind_tag << 20) + n
+        return self.handle_base + (_KIND_TAGS.get(kind, 0xF) << 20) + n
 
     def lower_half_regions(self) -> list[DriverRegionSpec]:
         """Library-owned lower-half regions (the network adds its own)."""

@@ -44,7 +44,7 @@ class Status:
     size: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """A nonblocking-operation handle (the lower half's real request)."""
 
@@ -53,8 +53,6 @@ class Request:
     completion: Completion
     #: Set for recv requests so MANA can cancel/repost across checkpoints.
     envelope: Optional[tuple] = None
-    #: recv requests: the pre-translation completion the matcher resolves.
-    inner: Optional[Completion] = None
 
     @property
     def done(self) -> bool:
@@ -62,7 +60,7 @@ class Request:
         return self.completion.done
 
 
-@dataclass
+@dataclass(slots=True)
 class MsgRecord:
     """An application-level p2p message, as the matching layer sees it."""
 
@@ -75,11 +73,16 @@ class MsgRecord:
     seq: int                       # per (src,dst) channel sequence
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _PostedRecv:
+    """A receive in the matching layer; compared by identity."""
+
+    comm: Communicator
     context_id: int
-    src: int                       # comm-local or ANY_SOURCE, stored as WORLD rank
+    source: int                    # comm-local rank or ANY_SOURCE
+    src: int                       # ``source`` as a WORLD rank (or ANY_SOURCE)
     tag: int
+    #: resolves with (data, Status), the source comm-local, as MPI reports it
     completion: Completion
     cancelled: bool = False
 
@@ -89,6 +92,13 @@ class _PostedRecv:
             and (self.src == ANY_SOURCE or self.src == msg.src)
             and (self.tag == ANY_TAG or self.tag == msg.tag)
         )
+
+    def status(self, msg: MsgRecord) -> Status:
+        """The application's view of a matched message's envelope."""
+        source = self.source
+        if source == ANY_SOURCE:
+            source = self.comm.rank_of_world(msg.src)
+        return Status(source, msg.tag, msg.size)
 
 
 @dataclass
@@ -205,7 +215,8 @@ class MpiWorld:
 
     def transport_between(self, src_rank: int, dst_rank: int) -> Interconnect:
         """Shared memory for co-located ranks, the fabric otherwise."""
-        if self.node_of(src_rank) == self.node_of(dst_rank):
+        placement = self.placement
+        if placement[src_rank] == placement[dst_rank]:
             return self.shmem
         return self.fabric
 
@@ -268,25 +279,26 @@ class MpiWorld:
     # -------------------------------------------------------- wire helpers
 
     def wire_send(
-        self, src: int, dst: int, size: int, payload: Any, meta: dict
-    ) -> Completion:
-        """FIFO-ordered transfer between two world ranks; resolves on arrival.
+        self, src: int, dst: int, size: int, payload: Any, meta: dict,
+        on_arrival: Callable[[Any], None], arg: Any,
+    ) -> None:
+        """FIFO-ordered transfer between two world ranks; ``on_arrival(arg)``
+        runs when it arrives.
 
         Per-channel delivery is serialized at the link bandwidth: a message
         cannot finish arriving before its predecessor plus its own wire
         occupancy.  This models a point-to-point link as a shared serial
         resource (what makes flooding benchmarks saturate at β).
         """
-        transport = self.transport_between(src, dst)
+        src_node = self.placement[src]
+        dst_node = self.placement[dst]
+        transport = self.shmem if src_node == dst_node else self.fabric
         chan = (src, dst)
         nb = self._channel_last_arrival.get(chan, 0.0) \
             + size / transport.beta + _FIFO_EPS
-        _msg, done = transport.transmit(
-            self.node_of(src), self.node_of(dst), size,
-            payload=payload, meta=meta, not_before=nb,
-        )
-        self._channel_last_arrival[chan] = _msg.meta["arrival"]
-        return done
+        transport._send(src_node, dst_node, size, payload, meta, nb,
+                        on_arrival, arg)
+        self._channel_last_arrival[chan] = meta["arrival"]
 
     def next_channel_seq(self, src: int, dst: int) -> int:
         """Next per-(src,dst) message sequence number."""
@@ -439,9 +451,16 @@ class MpiEndpoint:
 
     def __init__(self, world: MpiWorld, rank: int, comm_world: Communicator) -> None:
         self.world = world
+        #: the implementation this endpoint belongs to
+        self.impl: MpiImplementation = world.impl
+        #: the shared simulation engine
+        self.engine: Engine = world.engine
         self.rank = rank
         self.comm_world = comm_world
         self.node_id = world.node_of(rank)
+        #: completion labels, built once: receives, and sends per destination
+        self._recv_label = f"recv@{rank}"
+        self._send_labels: dict[int, str] = {}
         self._posted: list[_PostedRecv] = []
         self._unexpected: list[MsgRecord] = []
         self._pending_rts: list[_PendingRendezvous] = []
@@ -462,16 +481,6 @@ class MpiEndpoint:
         self._m_recv_bytes = metrics.counter("mpi.p2p.recv_bytes", rank=rank)
 
     # ---------------------------------------------------------- accounting
-
-    @property
-    def impl(self) -> MpiImplementation:
-        """The implementation this endpoint belongs to."""
-        return self.world.impl
-
-    @property
-    def engine(self) -> Engine:
-        """The shared simulation engine."""
-        return self.world.engine
 
     def bump_coll_seq(self, context_id: int) -> int:
         """Advance this rank's collective sequence on a context."""
@@ -500,54 +509,63 @@ class MpiEndpoint:
     ) -> Request:
         """Nonblocking send.  ``size`` overrides the modeled wire size
         (defaults to the numpy payload's nbytes, or 64 for objects)."""
+        handle, done = self._post_send(dest, data, tag, comm, size, extra_cpu)
+        return Request(handle, "send", done)
+
+    def send(
+        self,
+        dest: int,
+        data: Any,
+        tag: int = 0,
+        comm: Optional[Communicator] = None,
+        size: Optional[int] = None,
+        extra_cpu: float = 0.0,
+    ) -> Completion:
+        """Blocking send: same as isend, caller awaits the completion."""
+        return self._post_send(dest, data, tag, comm, size, extra_cpu)[1]
+
+    def _post_send(self, dest: int, data: Any, tag: int,
+                   comm: Optional[Communicator], size: Optional[int],
+                   extra_cpu: float) -> tuple[int, Completion]:
+        """The send itself; returns (real request handle, completion)."""
         comm = comm or self.comm_world
         comm.validate_rank(dest)
         self.calls += 1
+        world = self.world
+        rank = self.rank
         dst_world = comm.world_of_rank(dest)
         wire = int(size if size is not None else _default_size(data))
-        seq = self.world.next_channel_seq(self.rank, dst_world)
-        record = MsgRecord(
-            src=self.rank, dst=dst_world, context_id=comm.context_id,
-            tag=tag, data=_copy(data), size=wire, seq=seq,
-        )
-        self.world.p2p_messages += 1
-        self.world.p2p_bytes += wire
+        seq = world.next_channel_seq(rank, dst_world)
+        record = MsgRecord(rank, dst_world, comm.context_id, tag, _copy(data),
+                           wire, seq)
+        world.p2p_messages += 1
+        world.p2p_bytes += wire
         self._m_sent_msgs.inc()
         self._m_sent_bytes.inc(wire)
-        done = Completion(self.engine, label=f"send{self.rank}->{dst_world}")
-        req = Request(self.world.new_request_handle(), "send", done)
+        label = self._send_labels.get(dst_world)
+        if label is None:
+            label = self._send_labels[dst_world] = f"send{rank}->{dst_world}"
+        done = Completion(self.engine, label)
+        handle = world.new_request_handle()
         cpu = self._entry_cost(extra_cpu, wire) + \
-            self.world.transport_between(self.rank, dst_world).per_message_cpu
+            world.transport_between(rank, dst_world).per_message_cpu
 
         if wire <= self.impl.eager_threshold:
             # Eager: inject at once; local completion after CPU cost.
-            arrival = self.world.wire_send(
-                self.rank, dst_world, wire, payload=record, meta={"kind": "eager"},
-            )
-            arrival.on_done(
-                lambda msg: self.world.endpoints[dst_world]._on_data_arrival(record)
-            )
+            world.wire_send(rank, dst_world, wire, record, {"kind": "eager"},
+                            world.endpoints[dst_world]._on_data_arrival, record)
             done.resolve_after(cpu)
         else:
             # Rendezvous: RTS now; data flows once the receiver clears it.
-            send_id = self.world.new_request_handle()
-            rts = MsgRecord(
-                src=self.rank, dst=dst_world, context_id=comm.context_id,
-                tag=tag, data=None, size=wire, seq=seq,
-            )
-            arrival = self.world.wire_send(
-                self.rank, dst_world, 0, payload=rts,
-                meta={"kind": "rts", "send_id": send_id},
-            )
+            send_id = world.new_request_handle()
+            rts = MsgRecord(rank, dst_world, comm.context_id, tag, None, wire,
+                            seq)
             self._rendezvous_out[send_id] = (record, done, cpu)
-            arrival.on_done(
-                lambda msg: self.world.endpoints[dst_world]._on_rts(rts, send_id)
-            )
-        return req
-
-    def send(self, *args: Any, **kwargs: Any) -> Completion:
-        """Blocking send: same as isend, caller awaits the completion."""
-        return self.isend(*args, **kwargs).completion
+            receiver = world.endpoints[dst_world]
+            world.wire_send(rank, dst_world, 0, rts,
+                            {"kind": "rts", "send_id": send_id},
+                            lambda _rts: receiver._on_rts(rts, send_id), None)
+        return handle, done
 
     def irecv(
         self,
@@ -557,63 +575,61 @@ class MpiEndpoint:
         extra_cpu: float = 0.0,
     ) -> Request:
         """Nonblocking receive; completion resolves with (data, Status)."""
+        handle, posted = self._post_recv(source, tag, comm, extra_cpu)
+        return Request(handle, "recv", posted.completion,
+                       envelope=(posted.context_id, posted.src, tag))
+
+    def recv(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        comm: Optional[Communicator] = None,
+        extra_cpu: float = 0.0,
+    ) -> Completion:
+        """Blocking receive: completion resolves with (data, Status)."""
+        return self._post_recv(source, tag, comm, extra_cpu)[1].completion
+
+    def _post_recv(self, source: int, tag: int, comm: Optional[Communicator],
+                   extra_cpu: float) -> tuple[int, _PostedRecv]:
+        """The receive itself: match it against what already arrived, or
+        post it; returns (real request handle, posted receive)."""
         comm = comm or self.comm_world
         comm.validate_rank(source, allow_any=True)
         self.calls += 1
         src_world = (
             ANY_SOURCE if source == ANY_SOURCE else comm.world_of_rank(source)
         )
-        inner = Completion(self.engine, label=f"recv@{self.rank}")
-        posted = _PostedRecv(
-            context_id=comm.context_id, src=src_world, tag=tag, completion=inner,
-        )
         # Applications see comm-local source ranks in the status, matching
         # MPI semantics; the matching layer works in world ranks throughout.
-        done = Completion(self.engine, label=f"recv@{self.rank}:app")
-
-        def translate(value: Any) -> None:
-            data, status = value
-            local = comm.rank_of_world(status.source)
-            done.resolve((data, Status(local, status.tag, status.size)))
-
-        inner.on_done(translate)
-        req = Request(
-            self.world.new_request_handle(), "recv", done,
-            envelope=(comm.context_id, src_world, tag),
-        )
-        req.inner = inner
-        cpu = self._entry_cost(extra_cpu)
+        posted = _PostedRecv(comm, comm.context_id, source, src_world, tag,
+                             Completion(self.engine, self._recv_label))
+        handle = self.world.new_request_handle()
         # Check the unexpected queue first (in arrival order).
         for i, msg in enumerate(self._unexpected):
             if posted.matches(msg):
                 del self._unexpected[i]
-                inner.resolve_after(
-                    cpu + self.impl.copy_cost_per_byte * msg.size,
-                    (msg.data, Status(msg.src, msg.tag, msg.size)),
+                posted.completion.resolve_after(
+                    self._entry_cost(extra_cpu, msg.size),
+                    (msg.data, posted.status(msg)),
                 )
-                return req
+                return handle, posted
         # Check pending rendezvous RTS records.
         for i, pend in enumerate(self._pending_rts):
             if posted.matches(pend.record):
                 del self._pending_rts[i]
                 self._accept_rendezvous(pend, posted)
-                return req
+                return handle, posted
         self._posted.append(posted)
-        return req
-
-    def recv(self, *args: Any, **kwargs: Any) -> Completion:
-        """Blocking receive: completion resolves with (data, Status)."""
-        return self.irecv(*args, **kwargs).completion
+        return handle, posted
 
     def cancel_recv(self, req: Request) -> None:
         """MPI_Cancel for a posted receive (used by MANA across checkpoints)."""
         if req.kind != "recv":
             raise MpiError("cancel_recv on a non-recv request")
         for i, posted in enumerate(self._posted):
-            if posted.completion is req.inner:
+            if posted.completion is req.completion:
                 posted.cancelled = True
                 del self._posted[i]
-                req.inner.cancel()
                 req.completion.cancel()
                 return
         # Already matched or already cancelled: nothing to do.
@@ -634,9 +650,7 @@ class MpiEndpoint:
         for i, posted in enumerate(self._posted):
             if posted.matches(record):
                 del self._posted[i]
-                posted.completion.resolve(
-                    (record.data, Status(record.src, record.tag, record.size))
-                )
+                posted.completion.resolve((record.data, posted.status(record)))
                 return
         self._unexpected.append(record)
 
@@ -658,18 +672,9 @@ class MpiEndpoint:
     ) -> None:
         """Send CTS back; the sender then streams the payload."""
         sender = self.world.endpoints[pend.record.src]
-        cts = self.world.wire_send(
-            self.rank, pend.record.src, 0, payload=None,
-            meta={"kind": "cts", "send_id": pend.send_id},
-        )
 
         def on_cts(_msg: Any) -> None:
             record, send_done, cpu = sender._rendezvous_out.pop(pend.send_id)
-            data_arrival = self.world.wire_send(
-                record.src, record.dst, record.size, payload=record,
-                meta={"kind": "data", "send_id": pend.send_id},
-            )
-            send_done.resolve_after(cpu)
 
             def on_data(_m: Any) -> None:
                 if posted is None or posted.cancelled or self.drain_sink is not None:
@@ -682,12 +687,19 @@ class MpiEndpoint:
                 else:
                     self._count_delivery(record)
                     posted.completion.resolve(
-                        (record.data, Status(record.src, record.tag, record.size))
+                        (record.data, posted.status(record))
                     )
 
-            data_arrival.on_done(on_data)
+            self.world.wire_send(
+                record.src, record.dst, record.size, record,
+                {"kind": "data", "send_id": pend.send_id}, on_data, None,
+            )
+            send_done.resolve_after(cpu)
 
-        cts.on_done(on_cts)
+        self.world.wire_send(
+            self.rank, pend.record.src, 0, None,
+            {"kind": "cts", "send_id": pend.send_id}, on_cts, None,
+        )
 
     # ---------------------------------------------------------- drain API
 

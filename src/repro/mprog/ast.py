@@ -16,9 +16,11 @@ class ProgramError(RuntimeError):
 
 
 class Node:
-    """Base class; subclasses define ``children`` (possibly empty)."""
+    """Base class; subclasses define ``children`` (possibly empty) and
+    ``kind``, the short type name the interpreter dispatches on."""
 
     label: str = ""
+    kind: str = ""
 
     @property
     def children(self) -> tuple["Node", ...]:
@@ -32,6 +34,8 @@ class Node:
 
 class Seq(Node):
     """Run children in order."""
+
+    kind = "seq"
 
     def __init__(self, *children: Node, label: str = "") -> None:
         if not children:
@@ -56,6 +60,8 @@ class Loop(Node):
     restarts see the same trip count).  The current iteration index is
     published in ``state[var]`` if ``var`` is set.
     """
+
+    kind = "loop"
 
     def __init__(
         self,
@@ -87,6 +93,8 @@ class Loop(Node):
 class While(Node):
     """Run ``body`` while ``cond(state)`` is true (checked before each pass)."""
 
+    kind = "while"
+
     def __init__(self, cond: Callable[[Any], bool], body: Node, label: str = "") -> None:
         if not callable(cond):
             raise ProgramError("While cond must be callable")
@@ -104,6 +112,8 @@ class While(Node):
 
 class If(Node):
     """Run ``then`` or ``orelse`` depending on ``cond(state)``."""
+
+    kind = "if"
 
     def __init__(
         self,
@@ -134,6 +144,8 @@ class Compute(Node):
     callable ``f(state) -> float`` (seconds of reference-node work).
     """
 
+    kind = "compute"
+
     def __init__(
         self,
         fn: Callable[[Any], None],
@@ -162,6 +174,8 @@ class Call(Node):
     ``api`` is the interposed wrapper layer; natively it is a thin adapter
     over the raw endpoint — the program text is identical either way.
     """
+
+    kind = "call"
 
     def __init__(
         self,

@@ -7,8 +7,9 @@ Rank drivers (native or MANA) own the scheduling policy: they decide when to
 execute the returned leaves against the simulation engine, which is what
 lets a checkpoint helper freeze a rank *between* those decisions.
 
-Continuations are stacks of :class:`Frame` records holding node paths and
-counters only — ``snapshot()`` / ``restore()`` round-trip through pickle.
+Continuations are stacks of :class:`Frame` records.  A snapshot holds node
+paths and counters only — ``snapshot()`` / ``restore()`` round-trip through
+pickle; a live frame also holds its node, so stepping is O(1) per leaf.
 """
 
 from __future__ import annotations
@@ -16,17 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.mprog.ast import (
-    Call,
-    Compute,
-    If,
-    Loop,
-    Node,
-    Program,
-    ProgramError,
-    Seq,
-    While,
-)
+from repro.mprog.ast import Node, Program, ProgramError
 
 
 class ProgramState(dict):
@@ -46,16 +37,34 @@ class ProgramState(dict):
         self[name] = value
 
 
-@dataclass
 class Frame:
-    """One continuation frame.  ``kind`` is the node type short name."""
+    """One continuation frame.  ``kind`` is the node type short name.
 
-    path: tuple[int, ...]
-    kind: str                    # "seq" | "loop" | "while" | "if" | "leaf"
-    idx: int = 0                 # seq: next child
-    iters: int = 0               # loop/while: completed passes
-    count: int = 0               # loop: evaluated bound
-    branch: int = -1             # if: -1 undecided, 0 then, 1 else, 2 done
+    Only ``path`` and the counters persist (:meth:`Interpreter.snapshot`);
+    ``node`` is the program node at ``path``, resolved once when the frame
+    opens or is restored, so stepping never re-walks the tree.  Leaf frames
+    carry no counters, so one leaf frame per path is reused, together with
+    its prebuilt ``action``.
+    """
+
+    __slots__ = ("path", "kind", "node", "idx", "iters", "count", "branch",
+                 "kids", "action")
+
+    def __init__(self, path: tuple[int, ...], kind: str, node: Node,
+                 idx: int = 0, iters: int = 0, count: int = 0,
+                 branch: int = -1) -> None:
+        self.path = path
+        self.kind = kind             # "seq" | "loop" | "while" | "if" | "leaf"
+        self.node = node
+        self.idx = idx               # seq: next child
+        self.iters = iters           # loop/while: completed passes
+        self.count = count           # loop: evaluated bound
+        self.branch = branch         # if: -1 undecided, 0 then, 1 else, 2 done
+        #: seq: the node's children; leaf: the Action handed to the driver
+        self.kids: tuple[Node, ...] = node.children if kind == "seq" else ()
+        self.action: Optional[Action] = (
+            Action(node.kind, node, path) if kind == "leaf" else None
+        )
 
 
 @dataclass(frozen=True)
@@ -67,12 +76,22 @@ class Action:
     path: tuple[int, ...] = ()
 
 
+#: returned once the program has run to completion
+_DONE = Action(kind="done")
+
+#: node kind -> frame kind
+_FRAME_KINDS = {"seq": "seq", "loop": "loop", "while": "while", "if": "if",
+                "compute": "leaf", "call": "leaf"}
+
+
 class Interpreter:
     """Drives one rank's program; the continuation is fully serializable."""
 
     def __init__(self, program: Program, state: Optional[ProgramState] = None) -> None:
         self.program = program
         self.state = state if state is not None else ProgramState()
+        #: leaf frames by path (immutable, so shared between passes)
+        self._leaves: dict[tuple[int, ...], Frame] = {}
         self.stack: list[Frame] = [self._open_frame((), program.root)]
         self.finished = False
         #: number of leaves completed (diagnostics / progress reporting)
@@ -82,24 +101,46 @@ class Interpreter:
 
     def next_action(self) -> Action:
         """The next leaf to execute (idempotent until :meth:`leaf_done`)."""
-        while self.stack:
-            frame = self.stack[-1]
-            if frame.kind == "leaf":
-                node = self.program.node_at(frame.path)
-                return Action(
-                    kind="compute" if isinstance(node, Compute) else "call",
-                    node=node, path=frame.path,
-                )
-            node = self.program.node_at(frame.path)
-            child_idx = self._select_child(frame, node)
-            if child_idx is None:
-                self._pop()
-                continue
-            child = node.children[child_idx]
-            child_path = frame.path + (child_idx,)
-            self.stack.append(self._open_frame(child_path, child))
+        stack = self.stack
+        state = self.state
+        while stack:
+            frame = stack[-1]
+            kind = frame.kind
+            if kind == "leaf":
+                return frame.action
+            node = frame.node
+            if kind == "seq":
+                idx = frame.idx
+                if idx >= len(frame.kids):
+                    self._pop()
+                    continue
+                child = frame.kids[idx]
+            elif kind == "loop":
+                if frame.iters >= frame.count:
+                    self._pop()
+                    continue
+                if node.var is not None:
+                    state[node.var] = frame.iters
+                idx, child = 0, node.body
+            elif kind == "while":
+                if not node.cond(state):
+                    self._pop()
+                    continue
+                idx, child = 0, node.body
+            else:  # "if"
+                if frame.branch == -1:
+                    frame.branch = 0 if node.cond(state) else 1
+                idx = frame.branch
+                if idx == 2 or (idx == 1 and node.orelse is None):
+                    self._pop()
+                    continue
+                child = node.then if idx == 0 else node.orelse
+            path = frame.path + (idx,)
+            leaf = self._leaves.get(path)
+            stack.append(leaf if leaf is not None
+                         else self._open_frame(path, child))
         self.finished = True
-        return Action(kind="done")
+        return _DONE
 
     def leaf_done(self) -> None:
         """The current leaf finished; advance past it."""
@@ -129,8 +170,9 @@ class Interpreter:
         """
         stack = []
         for path, kind, idx, iters, count, branch in snap["stack"]:
-            self.program.node_at(path)  # validates
-            stack.append(Frame(tuple(path), kind, idx, iters, count, branch))
+            path = tuple(path)
+            node = self.program.node_at(path)  # validates
+            stack.append(Frame(path, kind, node, idx, iters, count, branch))
         self.stack = stack
         self.finished = bool(snap["finished"])
         self.leaves_done = int(snap["leaves_done"])
@@ -138,51 +180,28 @@ class Interpreter:
     # ------------------------------------------------------------ internals
 
     def _open_frame(self, path: tuple[int, ...], node: Node) -> Frame:
-        if isinstance(node, Seq):
-            return Frame(path, "seq")
-        if isinstance(node, Loop):
-            frame = Frame(path, "loop", count=node.eval_count(self.state))
+        kind = _FRAME_KINDS.get(node.kind)
+        if kind is None:
+            raise ProgramError(f"unknown node type {type(node).__name__}")
+        frame = Frame(path, kind, node)
+        if kind == "loop":
+            frame.count = node.eval_count(self.state)
             if node.var is not None:
                 self.state[node.var] = 0
-            return frame
-        if isinstance(node, While):
-            return Frame(path, "while")
-        if isinstance(node, If):
-            return Frame(path, "if")
-        if isinstance(node, (Compute, Call)):
-            return Frame(path, "leaf")
-        raise ProgramError(f"unknown node type {type(node).__name__}")
-
-    def _select_child(self, frame: Frame, node: Node) -> Optional[int]:
-        """Which child to run next, or None if the frame is exhausted."""
-        if frame.kind == "seq":
-            return frame.idx if frame.idx < len(node.children) else None
-        if frame.kind == "loop":
-            if frame.iters >= frame.count:
-                return None
-            if node.var is not None:
-                self.state[node.var] = frame.iters
-            return 0
-        if frame.kind == "while":
-            return 0 if node.cond(self.state) else None
-        if frame.kind == "if":
-            if frame.branch == 2:
-                return None
-            if frame.branch == -1:
-                frame.branch = 0 if node.cond(self.state) else 1
-            if frame.branch == 1 and node.orelse is None:
-                return None
-            return frame.branch
-        raise ProgramError(f"unexpected frame kind {frame.kind!r}")
+        elif kind == "leaf":
+            self._leaves[path] = frame
+        return frame
 
     def _pop(self) -> None:
-        self.stack.pop()
-        if not self.stack:
+        stack = self.stack
+        stack.pop()
+        if not stack:
             return
-        parent = self.stack[-1]
-        if parent.kind == "seq":
+        parent = stack[-1]
+        kind = parent.kind
+        if kind == "seq":
             parent.idx += 1
-        elif parent.kind in ("loop", "while"):
+        elif kind == "loop" or kind == "while":
             parent.iters += 1
-        elif parent.kind == "if":
+        elif kind == "if":
             parent.branch = 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.memory.region import RegionKind
 from repro.simtime import Completion, Engine
@@ -23,7 +23,7 @@ class DriverRegionSpec:
     size: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One wire-level transfer between two endpoints."""
 
@@ -111,24 +111,34 @@ class Interconnect:
         to enforce per-channel FIFO delivery (MPI's non-overtaking rule)
         even when a small message is injected behind a large one.
         """
-        msg = Message(
-            msg_id=next(self._ids), src_node=src_node, dst_node=dst_node,
-            size=size, payload=payload, meta=dict(meta or {}),
-        )
-        self._in_flight[msg.msg_id] = msg
+        done = Completion(self.engine)
+        msg = self._send(src_node, dst_node, size, payload, dict(meta or {}),
+                         not_before, done.resolve, None)
+        done.label = f"{self.name}:msg{msg.msg_id}"
+        return msg, done
+
+    def _send(self, src_node: int, dst_node: int, size: int, payload: Any,
+              meta: dict, not_before: float, fn: Callable[[Any], None],
+              arg: Any) -> Message:
+        """:meth:`transmit` without a Completion: ``fn(arg)`` runs on
+        arrival (``fn(message)`` when ``arg`` is None).  ``meta`` is owned
+        by the message from here on; its ``"arrival"`` key is set."""
+        msg_id = next(self._ids)
+        msg = Message(msg_id, src_node, dst_node, size, payload, meta)
+        self._in_flight[msg_id] = msg
         self.messages_sent += 1
         self.bytes_sent += size
-        done = Completion(self.engine, label=f"{self.name}:msg{msg.msg_id}")
+        engine = self.engine
+        arrival = max(engine.now + self.transfer_time(size), not_before)
+        meta["arrival"] = arrival
+        engine._post(arrival, self._deliver,
+                     (msg_id, fn, msg if arg is None else arg),
+                     f"{self.name}:deliver{msg_id}")
+        return msg
 
-        def deliver() -> None:
-            self._in_flight.pop(msg.msg_id, None)
-            done.resolve(msg)
-
-        arrival = max(self.engine.now + self.transfer_time(size), not_before)
-        msg.meta["arrival"] = arrival
-        self.engine.call_at(arrival, deliver,
-                            label=f"{self.name}:deliver{msg.msg_id}")
-        return msg, done
+    def _deliver(self, msg_id: int, fn: Callable[[Any], None], arg: Any) -> None:
+        del self._in_flight[msg_id]
+        fn(arg)
 
     # ------------------------------------------------------------ draining
 

@@ -137,7 +137,7 @@ class RankDriver:
         though restart re-executes the leaf."""
         if self.current_call is None:
             return None
-        return (tuple(self.current_call.path), self.interp.leaves_done)
+        return (self.current_call.path, self.interp.leaves_done)
 
     # ------------------------------------------------------------- main loop
 
@@ -209,17 +209,17 @@ class RankDriver:
                 f"call leaf {node.label!r} returned {type(completion).__name__}, "
                 "expected a Completion"
             )
-        completion.on_done(lambda value: self._call_finished(node, value))
+        completion.on_done(self._call_finished)
 
-    def _call_finished(self, node: Call, value: Any) -> None:
+    def _call_finished(self, value: Any) -> None:
         if self.dead:
             return  # the call outlived its rank (e.g. a zombie collective)
-        if node.store is not None:
-            self.interp.state[node.store] = value
+        action = self.current_call
+        store = action.node.store
+        if store is not None:
+            self.interp.state[store] = value
         if self.leaf_done_hook is not None:
-            key = self.current_call_key()
-            if key is not None:
-                self.leaf_done_hook(key)
+            self.leaf_done_hook((action.path, self.interp.leaves_done))
         self.current_call = None
         self.parked_at = "running"
         self.interp.leaf_done()

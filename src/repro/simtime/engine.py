@@ -119,6 +119,17 @@ class Engine:
         ``when`` may equal :attr:`now` (the event fires before the engine
         next advances time) but may not lie in the past.
         """
+        entry = self._post(when, fn, args, label, priority)
+        return EventHandle(entry[_WHEN], entry[_SEQ], entry, self)
+
+    def _post(self, when: float, fn: Callable[..., Any], args: tuple,
+              label: str, priority: int = 0) -> list:
+        """Queue ``fn(*args)`` at ``when`` and return the queue entry.
+
+        The scheduling core of :meth:`call_at`, for events nobody cancels
+        (completion resolutions, wrapper overheads, wire deliveries): it
+        builds no :class:`EventHandle`.
+        """
         now = self._now
         if when < now:
             if math.isnan(when):
@@ -135,7 +146,7 @@ class Engine:
         entry = [when, priority, seq, label, (fn, args)]
         heapq.heappush(self._queue, entry)
         self._live += 1
-        return EventHandle(when, seq, entry, self)
+        return entry
 
     def call_after(
         self,
@@ -313,11 +324,15 @@ class Completion:
 
     def resolve_at(self, when: float, value: Any = None) -> None:
         """Schedule resolution at absolute virtual time ``when``."""
-        self.engine.call_at(when, self.resolve, value, label=f"resolve:{self.label}")
+        self.engine._post(when, self.resolve, (value,), "resolve:" + self.label)
 
     def resolve_after(self, delay: float, value: Any = None) -> None:
         """Schedule resolution ``delay`` seconds from now."""
-        self.engine.call_after(delay, self.resolve, value, label=f"resolve:{self.label}")
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        engine = self.engine
+        engine._post(engine._now + delay, self.resolve, (value,),
+                     "resolve:" + self.label)
 
     def cancel(self) -> None:
         """Cancel: callbacks are dropped and resolution becomes a no-op.

@@ -1,20 +1,25 @@
-"""Golden event-order regression: a pinned digest of a MANA job's trace.
+"""Golden event-order regression: pinned digests of MANA jobs' traces.
 
 The engine records every dispatched event as ``(virtual time, label)``
-when ``engine.trace`` is a list.  This test runs one checkpointed MANA
-job — HPCG, 8 ranks on 2 Cori nodes, one checkpoint, restart onto an
-InfiniBand cluster under Open MPI — on a single engine and pins the
-SHA-256 of that trace.  Any change to event ordering, timing, or labels
-anywhere on the launch → checkpoint → restart → resume path shows up
-here, even when final checksums agree.  If a change is *intentional*,
-regenerate with:
+when ``engine.trace`` is a list.  Each test runs one checkpointed MANA job,
+restarts it onto an InfiniBand cluster under Open MPI, and pins the
+SHA-256 of both traces:
+
+* HPCG, 8 ranks on 2 Cori nodes — the batched ``exchange`` halo path and
+  the collectives;
+* OSU ping-pong, 2 ranks on 2 TCP nodes, checkpointed mid-loop — the
+  blocking ``send``/``recv`` path, its wrapper events and wire deliveries.
+
+Any change to event ordering, timing, or labels anywhere on the launch →
+checkpoint → restart → resume path shows up here, even when final
+checksums agree.  If a change is *intentional*, regenerate with:
 
     python -c "from tests.apps.test_golden_trace import regenerate; regenerate()"
 """
 
 import hashlib
 
-from repro.apps import get_app
+from repro.apps import get_app, osu
 from repro.hardware.cluster import cori, make_cluster
 from repro.mana import launch_mana, restart
 from repro.simtime import Engine
@@ -24,6 +29,22 @@ CKPT_AT = 0.02
 
 #: SHA-256 over the source and restarted job's traces, in dispatch order
 GOLDEN_DIGEST = "25d65decf188a814b9b2028ad4e222e59ba6160bde8bc5dfd1671fae4ff19952"
+
+#: checkpoint time of the ping-pong: its 200 iterations end near 11.7 ms,
+#: the image is cut mid-loop with one rank parked in a receive
+PINGPONG_CKPT_AT = 0.004
+
+#: the same digest for the ping-pong job
+PINGPONG_DIGEST = "6ca65405faf12a6b623c22d2b7196d1195034b06df4ded04e9bf142de279e4fd"
+
+
+def _digest(*traces):
+    h = hashlib.sha256()
+    for trace in traces:
+        for when, label in trace:
+            h.update(f"{when!r} {label}\n".encode())
+        h.update(b"--\n")
+    return h.hexdigest()
 
 
 def _trace_digest():
@@ -43,13 +64,26 @@ def _trace_digest():
     job2 = restart(ckpt, dst, program, ranks_per_node=4, mpi="openmpi",
                    engine=dst_engine)
     job2.run_to_completion()
+    return _digest(src_engine.trace, dst_engine.trace)
 
-    h = hashlib.sha256()
-    for trace in (src_engine.trace, dst_engine.trace):
-        for when, label in trace:
-            h.update(f"{when!r} {label}\n".encode())
-        h.update(b"--\n")
-    return h.hexdigest()
+
+def _pingpong_digest():
+    program = osu.latency_program(1024, 200)
+
+    src_engine = Engine()
+    src_engine.trace = []
+    src = make_cluster("eth", 2, interconnect="tcp")
+    job = launch_mana(src, program, n_ranks=2, ranks_per_node=1,
+                      engine=src_engine, app_mem_bytes=1 << 20).start()
+    ckpt, _ = job.checkpoint_at(PINGPONG_CKPT_AT)
+
+    dst_engine = Engine()
+    dst_engine.trace = []
+    dst = make_cluster("ib", 2, interconnect="infiniband")
+    job2 = restart(ckpt, dst, program, ranks_per_node=1, mpi="openmpi",
+                   engine=dst_engine)
+    job2.run_to_completion()
+    return _digest(src_engine.trace, dst_engine.trace)
 
 
 def test_golden_mana_trace():
@@ -57,9 +91,16 @@ def test_golden_mana_trace():
         "MANA event order changed — regenerate GOLDEN_DIGEST if intentional"
 
 
+def test_golden_pingpong_trace():
+    assert _pingpong_digest() == PINGPONG_DIGEST, \
+        "MANA send/recv event order changed — regenerate PINGPONG_DIGEST " \
+        "if intentional"
+
+
 def regenerate():
-    """Print a fresh GOLDEN_DIGEST."""
+    """Print fresh GOLDEN_DIGEST and PINGPONG_DIGEST values."""
     print(f'GOLDEN_DIGEST = "{_trace_digest()}"')
+    print(f'PINGPONG_DIGEST = "{_pingpong_digest()}"')
 
 
 if __name__ == "__main__":
