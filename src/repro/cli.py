@@ -52,12 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run without MANA (baseline)")
     run.add_argument("--checkpoint-at", type=float, default=None,
                      metavar="T", help="cut a checkpoint at virtual time T")
-    run.add_argument("--protocol", default="alg2",
-                     choices=["alg2", "topo"],
-                     help="checkpoint protocol engine (docs/protocols.md)")
-    run.add_argument("--compact", action="store_true",
-                     help="compact the record-replay log at checkpoint time "
-                          "(docs/record_replay.md)")
+    _job_option_args(run)
     run.add_argument("--out", default=None, metavar="DIR",
                      help="directory to save the checkpoint to")
 
@@ -68,13 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="application name (the program text)")
     rst.add_argument("--steps", type=int, default=None)
     rst.add_argument("--ranks-per-node", type=int, default=None)
-    rst.add_argument("--protocol", default="alg2",
-                     choices=["alg2", "topo"],
-                     help="protocol for any later checkpoints of the "
-                          "restarted job")
-    rst.add_argument("--compact", action="store_true",
-                     help="compact the record-replay log in any later "
-                          "checkpoints of the restarted job")
 
     ins = sub.add_parser("inspect", help="describe a saved checkpoint")
     ins.add_argument("--ckpt", required=True, metavar="DIR")
@@ -134,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="root seed of the checkpoint-time fuzzer")
     conf.add_argument("--apps", default=None, metavar="A,B",
                       help="comma-separated app names (default: "
-                           "gromacs,hpcg)")
+                           "gromacs,hpcg,lulesh,commchurn)")
     conf.add_argument("--ranks", type=int, default=4)
     conf.add_argument("--steps", type=int, default=4)
     conf.add_argument("--sources", type=int, default=2, metavar="N",
@@ -145,8 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="worker processes for matrix cells "
                            "(1 = in-process)")
     conf.add_argument("--only", default=None, metavar="SRC->DST",
-                      help="run a single src-label->dst-label pair (the "
-                           "syntax divergence repro lines use)")
+                      help="run a single src-label->dst-label pair, any "
+                           "matrix cell as the source (the syntax "
+                           "divergence repro lines use)")
     conf.add_argument("--protocol", default="alg2",
                       choices=["alg2", "topo", "both", "alternate"],
                       help="checkpoint protocol axis; 'both' runs every "
@@ -183,12 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--seed", type=int, default=0,
                      help="workload + straggler seed (runs are "
                           "deterministic per seed)")
-    fac.add_argument("--protocol", default="alg2",
-                     choices=["alg2", "topo"],
-                     help="checkpoint protocol for induced checkpoints")
-    fac.add_argument("--compact", action="store_true",
-                     help="compact every tenant's record-replay log at "
-                          "induced checkpoints")
+    _job_option_args(fac)
     fac.add_argument("--ckpt-interval", type=float, default=None,
                      metavar="T", help="periodic checkpoint interval in "
                                        "virtual seconds (default: off)")
@@ -225,6 +209,18 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--metrics", action="store_true",
                        help="print the flat metrics table after the run")
     return parser
+
+
+def _job_option_args(p: argparse.ArgumentParser) -> None:
+    """``--protocol`` / ``--compact``: the job's JobOptions, which its
+    checkpoints carry and its restarts inherit."""
+    from repro.mana.protocol import PROTOCOLS
+
+    p.add_argument("--protocol", choices=PROTOCOLS,
+                   help="checkpoint protocol engine (docs/protocols.md)")
+    p.add_argument("--compact", action="store_true",
+                   help="compact the record-replay log at checkpoint time "
+                        "(docs/record_replay.md)")
 
 
 def _cluster_args(p: argparse.ArgumentParser) -> None:
@@ -276,6 +272,7 @@ def cmd_apps(_args, out) -> int:
 def cmd_run(args, out) -> int:
     """``repro run``: run an application (optionally checkpointing)."""
     from repro.harness.experiments import _launch_mana_app, _run_native
+    from repro.mana.protocol import JobOptions
     from repro.mana.storage import save_checkpoint
 
     spec, cfg, factory = _app_factory(args.app, args.steps)
@@ -292,8 +289,9 @@ def cmd_run(args, out) -> int:
               file=out)
         return 0
 
-    job = _launch_mana_app(cluster, spec, cfg, n_ranks, rpn,
-                           protocol=args.protocol, compact=args.compact)
+    options = JobOptions().override(protocol=args.protocol,
+                                    compact=args.compact)
+    job = _launch_mana_app(cluster, spec, cfg, n_ranks, rpn, options)
     if args.checkpoint_at is not None:
         ckpt, report = job.checkpoint_at(args.checkpoint_at)
         print(f"checkpoint at t={args.checkpoint_at}: "
@@ -321,8 +319,7 @@ def cmd_restart(args, out) -> int:
     ckpt = load_checkpoint(args.ckpt)
     cluster = _make_cluster(args)
     job = restart(ckpt, cluster, factory, mpi=args.mpi,
-                  ranks_per_node=args.ranks_per_node,
-                  protocol=args.protocol, compact=args.compact)
+                  ranks_per_node=args.ranks_per_node)
     job.run_to_completion()
     rep = job.restart_report
     print(f"restarted {ckpt.n_ranks} ranks from {args.ckpt} on "

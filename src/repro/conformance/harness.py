@@ -26,7 +26,8 @@ over a process pool with results identical to ``jobs=1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from itertools import product
+from typing import Callable, Optional, Sequence
 
 from repro.conformance.matrix import (
     ConfigCell,
@@ -46,6 +47,7 @@ from repro.conformance.oracles import (
     state_fingerprint,
 )
 from repro.harness.parallel import SweepCell, memo, run_cells
+from repro.mana.protocol import JobOptions, PROTOCOLS
 from repro.simtime.rng import RngStreams
 
 #: the cell whose uncheckpointed run defines the golden state (the paper's
@@ -120,19 +122,24 @@ def _app_pieces(app: str, n_steps: int):
     return spec, spec.default_config.scaled(n_steps=n_steps)
 
 
+def _launch(app: str, cell: ConfigCell, n_ranks: int, n_steps: int,
+            options: JobOptions):
+    """``app`` started under MANA on ``cell``."""
+    from repro.harness.experiments import _launch_mana_app
+
+    n_eff = effective_ranks(app, n_ranks)
+    spec, cfg = _app_pieces(app, n_steps)
+    return _launch_mana_app(cluster_for(cell, n_eff), spec, cfg, n_eff,
+                            cell.ranks_per_node, options)
+
+
 def golden_run(app: str, cell: ConfigCell = REF_CELL, n_ranks: int = 4,
                n_steps: int = 4) -> GoldenResult:
     """Run ``app`` to completion under MANA with no checkpoint (memoized)."""
     key = ("conformance-golden", app, cell.as_tuple(), n_ranks, n_steps)
 
     def compute():
-        from repro.harness.experiments import _launch_mana_app
-
-        n_eff = effective_ranks(app, n_ranks)
-        spec, cfg = _app_pieces(app, n_steps)
-        cluster = cluster_for(cell, n_eff)
-        job = _launch_mana_app(cluster, spec, cfg, n_eff,
-                               cell.ranks_per_node)
+        job = _launch(app, cell, n_ranks, n_steps, JobOptions())
         makespan = job.run_to_completion()
         return GoldenResult(
             fingerprint=state_fingerprint(job.states),
@@ -144,33 +151,25 @@ def golden_run(app: str, cell: ConfigCell = REF_CELL, n_ranks: int = 4,
 
 
 def _source_checkpoint(app: str, src: ConfigCell, n_ranks: int, n_steps: int,
-                       seed: int, k: int, protocol: str = "alg2",
-                       compact: bool = False):
+                       seed: int, k: int, options: JobOptions):
     """(checkpoint set, source-engine totals, ckpt time), memoized.
 
     The checkpoint set is only ever *read* by restarts (the property fig9's
     triple restart already relies on), so one source simulation feeds every
     destination cell of the matrix within a process.  The fuzzed cut time
-    comes from a protocol-independent rng stream, so the alg2 and topo
+    comes from an options-independent rng stream, so the alg2 and topo
     variants of one cycle checkpoint at the same virtual instant — the
-    ideal differential.  ``compact`` keys its own memo slot: a compacted
+    ideal differential.  ``options`` keys its own memo slot: a compacted
     and a full image of the same instant are *different artifacts*, and the
     compaction differential depends on restarting both.
     """
     key = ("conformance-src", app, src.as_tuple(), n_ranks, n_steps, seed, k,
-           protocol, compact)
+           options)
 
     def compute():
-        from repro.harness.experiments import _launch_mana_app
-
         t_ckpt = (checkpoint_fraction(app, src, seed, k)
                   * golden_run(app, src, n_ranks, n_steps).makespan)
-        n_eff = effective_ranks(app, n_ranks)
-        spec, cfg = _app_pieces(app, n_steps)
-        cluster = cluster_for(src, n_eff)
-        job = _launch_mana_app(cluster, spec, cfg, n_eff,
-                               src.ranks_per_node, protocol=protocol,
-                               compact=compact)
+        job = _launch(app, src, n_ranks, n_steps, options)
         ckpt, _report = job.checkpoint_at(t_ckpt)
         return ckpt, conservation_totals(job.engine.metrics), t_ckpt
 
@@ -192,11 +191,11 @@ class CycleResult:
     divergences: tuple   # of Divergence
     #: which checkpoint protocol drove the cycle ("alternate" = chained
     #: hops cut under alg2 → topo in turn)
-    protocol: str = "alg2"
+    protocol: str = JobOptions.protocol
     #: the restarted run's final-state fingerprint (cross-protocol check)
     fingerprint: str = ""
     #: whether the cycle's checkpoints compacted the record-replay log
-    compact: bool = False
+    compact: bool = JobOptions.compact
     #: entries the first restart actually replayed (O(live) when compacted)
     replayed: int = 0
 
@@ -212,36 +211,26 @@ class CycleResult:
         dst = ConfigCell.from_tuple(self.dst)
         return f"{src.label}->{dst.label}"
 
-    def repro(self, tier: str = "quick") -> str:
-        """A shell one-liner that re-runs exactly this cycle."""
-        line = (f"python -m repro conformance --{tier} --seed {self.seed} "
+    def repro(self, tier: str = "quick", n_ranks: Optional[int] = None,
+              n_steps: Optional[int] = None) -> str:
+        """A shell one-liner whose sweep re-runs this cycle, shaped by the
+        sweep's ``n_ranks``/``n_steps`` when given (docs/conformance.md)."""
+        flags = {"ranks": n_ranks, "steps": n_steps,
+                 "ckpts-per-source": self.k + 1}
+        return (f"python -m repro conformance --{tier} --seed {self.seed} "
                 f"--apps {self.app} --protocol {self.protocol} "
-                f"--only '{self.pair}'")
-        if self.compact:
-            line += " --compact on"
-        return line
-
-
-def _hop_protocols(protocol: str) -> tuple[str, str, str]:
-    """Per-hop checkpoint protocols for (first cut, second cut, final run).
-
-    ``"alternate"`` drives a chained cycle's hops under *different*
-    engines — alg2 cuts the source, topo cuts the restarted job, alg2 hosts
-    the final run — so the oracles prove a checkpoint taken by one protocol
-    restores cleanly under the other, in both directions.  Any other value
-    is used uniformly (the historical behaviour).
-    """
-    if protocol == "alternate":
-        return ("alg2", "topo", "alg2")
-    return (protocol, protocol, protocol)
+                + "".join(f"--{f} {v} " for f, v in flags.items()
+                          if v is not None)
+                + f"--only '{self.pair}'"
+                + (" --compact on" if self.compact else ""))
 
 
 def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
                        n_ranks: int = 4, n_steps: int = 4,
                        seed: int = 0, k: int = 0,
                        chain: bool = False,
-                       protocol: str = "alg2",
-                       compact: bool = False) -> CycleResult:
+                       protocol: str = JobOptions.protocol,
+                       compact: bool = JobOptions.compact) -> CycleResult:
     """Run one golden/checkpoint/restart/oracle cycle and report it.
 
     With ``chain=True`` the cycle becomes a two-hop round trip: checkpoint
@@ -250,19 +239,19 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
     the oracles — the state must survive two migrations and the traffic
     totals of all three segments must still conserve against the golden.
 
-    ``protocol`` selects the checkpoint protocol engine for every cut in
-    the cycle (``"alternate"``: alg2 → topo → alg2 across a chain's hops);
-    the golden runs are checkpoint-free and therefore shared.
-
-    ``compact=True`` compacts the record-replay log in every checkpoint of
-    the cycle (docs/record_replay.md); on top of the state/conservation
-    oracles, each image is screened by the replay-consistency oracle (would
-    the compacted logs deadlock at restart?) and the restart by the
-    replay-accounting and handle-ledger oracles.
+    ``protocol`` and ``compact`` are the cycle's :data:`AXES` values; the
+    restarts inherit them from the images, except that ``"alternate"`` cuts
+    the source under alg2 and the restarted job under topo, proving each
+    protocol's image restores under the other.  The golden runs are
+    checkpoint-free and therefore shared.  On top of the state and
+    conservation oracles, each image is screened by the replay-consistency
+    oracle (would compacted logs deadlock at restart?) and the restarts by
+    the replay-accounting and handle-ledger oracles.
     """
     from repro.mana.job import restart
 
-    proto_cut1, proto_cut2, proto_final = _hop_protocols(protocol)
+    alternate = protocol == "alternate"
+    options = JobOptions("alg2" if alternate else protocol, compact)
     ref = golden_run(app, REF_CELL, n_ranks, n_steps)
     divergences: list[Divergence] = []
 
@@ -278,16 +267,15 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
         ))
 
     ckpt, src_totals, t_ckpt = _source_checkpoint(
-        app, src, n_ranks, n_steps, seed, k, protocol=proto_cut1,
-        compact=compact,
+        app, src, n_ranks, n_steps, seed, k, options,
     )
     divergences.extend(check_replay_consistency(ckpt))
     n_eff = effective_ranks(app, n_ranks)
     spec, cfg = _app_pieces(app, n_steps)
     job2 = restart(
         ckpt, cluster_for(dst, n_eff), spec.build(cfg),
-        mpi=dst.mpi, ranks_per_node=dst.ranks_per_node, protocol=proto_cut2,
-        compact=compact,
+        mpi=dst.mpi, ranks_per_node=dst.ranks_per_node,
+        protocol="topo" if alternate else None,
     )
 
     mid_totals = None
@@ -310,7 +298,6 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
             final_job = restart(
                 ckpt2, cluster_for(src, n_eff), spec.build(cfg),
                 mpi=src.mpi, ranks_per_node=src.ranks_per_node,
-                protocol=proto_final, compact=compact,
             )
         # else: the dst cell outran the fuzzed window — the cycle
         # degenerates to a single hop, which is still a full oracle check
@@ -340,23 +327,6 @@ def differential_cycle(app: str, src: ConfigCell, dst: ConfigCell,
     )
 
 
-def _cycle_cell(app: str, src_t: tuple, dst_t: tuple, n_ranks: int,
-                n_steps: int, seed: int, k: int,
-                protocol: str = "alg2",
-                compact: bool = False) -> CycleResult:
-    """SweepCell entry point: primitives in, picklable CycleResult out.
-
-    Cycles beyond the first per source (``k > 0``) run as two-hop chains —
-    ``--ckpts-per-source 2`` therefore fuzzes both single restarts and
-    checkpoint → restart → checkpoint → restart round trips.
-    """
-    return differential_cycle(
-        app, ConfigCell.from_tuple(src_t), ConfigCell.from_tuple(dst_t),
-        n_ranks=n_ranks, n_steps=n_steps, seed=seed, k=k, chain=k > 0,
-        protocol=protocol, compact=compact,
-    )
-
-
 # ------------------------------------------------------------- the sweep
 
 @dataclass
@@ -370,9 +340,9 @@ class ConformanceReport:
     apps: tuple
     results: list
     #: "alg2" | "topo" | "both" | "alternate" — the sweep's protocol axis
-    protocol: str = "alg2"
+    protocol: str
     #: "off" | "on" | "both" — the sweep's log-compaction axis
-    compact: str = "off"
+    compact: str
 
     @property
     def divergent(self) -> list[CycleResult]:
@@ -403,7 +373,8 @@ class ConformanceReport:
             )
             for d in r.divergences:
                 lines.append(f"  {d}")
-            lines.append(f"  repro: {r.repro(self.tier)}")
+            lines.append("  repro: "
+                         + r.repro(self.tier, self.n_ranks, self.n_steps))
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
@@ -429,7 +400,8 @@ class ConformanceReport:
                     "ckpt_time": r.ckpt_time,
                     "ok": r.ok,
                     "divergences": [str(d) for d in r.divergences],
-                    "repro": None if r.ok else r.repro(self.tier),
+                    "repro": None if r.ok else r.repro(
+                        self.tier, self.n_ranks, self.n_steps),
                 }
                 for r in self.results
             ],
@@ -498,18 +470,44 @@ def _compacted_replays_no_more(full: CycleResult,
     return []
 
 
-def _parse_compact_axis(compact) -> tuple[bool, ...]:
-    """``compact`` axis values: ``"off"``, ``"on"``, a bool, or ``"both"``
-    (full + compacted, the CI compaction differential)."""
-    if compact == "both":
-        return (False, True)
-    if compact in ("off", False):
-        return (False,)
-    if compact in ("on", True):
-        return (True,)
-    raise ValueError(
-        f"unknown compact axis {compact!r}: expected 'off', 'on' or 'both'"
-    )
+def _lookup(name: str, table: dict) -> Callable[[object], tuple]:
+    """An axis parser: the sweep argument's values, looked up in ``table``."""
+
+    def parse(value) -> tuple:
+        if value not in table:
+            raise ValueError(f"unknown {name} axis {value!r}: expected one "
+                             f"of {[k for k in table if isinstance(k, str)]}")
+        return table[value]
+
+    return parse
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One sweep axis: ``parse`` maps its argument to values, baseline
+    first; with several values, :func:`_cross_axis_check` pairs each
+    variant with the baseline under ``oracle`` plus the ``extra`` claim."""
+
+    name: str
+    parse: Callable[[object], tuple]
+    oracle: str
+    extra: Optional[Callable] = None
+
+
+#: the sweep's axes, in :func:`differential_cycle` parameter order;
+#: ``"both"`` is each axis' differential (docs/protocols.md,
+#: docs/record_replay.md)
+AXES = (
+    Axis("protocol",
+         _lookup("protocol", {"both": PROTOCOLS, **{
+             p: (p,) for p in PROTOCOLS + ("alternate",)}}),
+         oracle="cross_protocol"),
+    Axis("compact",
+         _lookup("compact", {"off": (False,), False: (False,),
+                             "on": (True,), True: (True,),
+                             "both": (False, True)}),
+         oracle="cross_compact", extra=_compacted_replays_no_more),
+)
 
 
 def run_conformance(
@@ -522,60 +520,37 @@ def run_conformance(
     ckpts_per_source: int = 1,
     jobs: Optional[int] = 1,
     only: Optional[str] = None,
-    protocol: str = "alg2",
+    protocol: str = JobOptions.protocol,
     compact="off",
 ) -> ConformanceReport:
-    """Sweep the tier's matrix: every app × source cell × *other* cell.
+    """Sweep the tier's matrix: every app × source cell × *other* cell ×
+    checkpoint index × combination of :data:`AXES` values.  Cycles beyond
+    the first per source (``k > 0``) run as two-hop chains.
 
     ``only`` restricts the sweep to cycles whose ``src-label->dst-label``
     pair matches (the syntax :meth:`CycleResult.repro` emits), so a
-    divergence found in CI can be replayed as a single cycle locally.
+    divergence found in CI can be replayed locally; its source may be any
+    matrix cell, whatever ``n_sources`` picks.
 
-    ``protocol`` selects the checkpoint protocol: ``"alg2"`` or ``"topo"``
-    run the matrix under one engine; ``"both"`` runs every cycle under
-    each engine at the same fuzzed cut time and additionally cross-checks
-    the two restart fingerprints against each other (the protocol
-    differential — see docs/protocols.md); ``"alternate"`` cuts a chained
-    cycle's hops under alg2 → topo in turn (single-hop cycles degenerate
-    to alg2).
-
-    ``compact`` selects the log-compaction axis: ``"off"``/``"on"`` run
-    every cycle with the full or the compacted record-replay log,
-    ``"both"`` runs each cycle both ways from the same fuzzed cut time
-    and cross-checks the restart fingerprints and replay counts (the
-    compaction differential — see docs/record_replay.md).
+    ``protocol`` and ``compact`` are the sweep's axis arguments
+    (:data:`AXES`).  An axis with several values runs every cycle once per
+    value from the same fuzzed cut time and cross-checks the restart
+    fingerprints between them.
     """
-    from repro.mana.protocol import PROTOCOLS
-
-    if protocol == "both":
-        protocols = PROTOCOLS
-    elif protocol in PROTOCOLS + ("alternate",):
-        protocols = (protocol,)
-    else:
-        raise ValueError(
-            f"unknown protocol {protocol!r}: expected one of "
-            f"{PROTOCOLS + ('both', 'alternate')}"
-        )
-    compact_modes = _parse_compact_axis(compact)
+    variants = [axis.parse(arg) for axis, arg in zip(AXES, (protocol, compact))]
     apps = tuple(apps or DEFAULT_APPS)
     dsts = matrix_for(tier)
-    srcs = source_cells(dsts, n_sources)
+    srcs = dsts if only is not None else source_cells(dsts, n_sources)
     cells = [
         SweepCell(
-            _cycle_cell,
-            (app, s.as_tuple(), d.as_tuple(), n_ranks, n_steps, seed, k,
-             proto, do_compact),
-            label=(f"conf:{app}:{s.label}->{d.label}/k{k}/{proto}"
-                   + ("/compact" if do_compact else "")),
+            differential_cycle,
+            (app, s, d, n_ranks, n_steps, seed, k, k > 0, *variant),
+            label=(f"conf:{app}:{s.label}->{d.label}/k{k}/"
+                   + "/".join(map(str, variant))),
         )
-        for app in apps
-        for s in srcs
-        for d in dsts
-        if d != s
-        for k in range(ckpts_per_source)
-        for proto in protocols
-        for do_compact in compact_modes
-        if only is None or f"{s.label}->{d.label}" == only
+        for app, s, d, k, variant in product(
+            apps, srcs, dsts, range(ckpts_per_source), product(*variants))
+        if d != s and (only is None or f"{s.label}->{d.label}" == only)
     ]
     if not cells:
         raise ValueError(
@@ -583,13 +558,10 @@ def run_conformance(
             f"only={only!r})"
         )
     results = list(run_cells(cells, jobs=jobs))
-    if len(protocols) > 1:
-        results = _cross_axis_check(results, "protocol", protocols[0],
-                                    oracle="cross_protocol")
-    if len(compact_modes) > 1:
-        results = _cross_axis_check(results, "compact", compact_modes[0],
-                                    oracle="cross_compact",
-                                    extra=_compacted_replays_no_more)
+    for axis, values in zip(AXES, variants):
+        if len(values) > 1:
+            results = _cross_axis_check(results, axis.name, values[0],
+                                        oracle=axis.oracle, extra=axis.extra)
     return ConformanceReport(
         tier=tier, seed=seed, n_ranks=n_ranks, n_steps=n_steps,
         apps=apps, results=results, protocol=protocol,

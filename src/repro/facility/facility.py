@@ -46,6 +46,7 @@ from repro.mana.coordinator import (
     ControlPlaneModel,
 )
 from repro.mana.job import ManaJob, launch_mana, restart
+from repro.mana.protocol import JobOptions
 from repro.mana.split_process import fixed_upper_bytes
 from repro.obs.events import Category
 from repro.simtime import Engine
@@ -92,8 +93,8 @@ class Facility:
         fault_horizon: float = inf,
         control: Optional[ControlPlaneModel] = None,
         stragglers: bool = True,
-        protocol: str = "alg2",
-        compact: bool = False,
+        protocol: Optional[str] = None,
+        compact: Optional[bool] = None,
     ) -> None:
         self.engine = engine or Engine()
         self.cluster = cluster
@@ -105,12 +106,10 @@ class Facility:
         self.checkpoint_interval = checkpoint_interval
         self.control = control
         self.stragglers = stragglers
-        #: checkpoint protocol engine for induced (preemption/interval)
-        #: checkpoints of every tenant (docs/protocols.md)
-        self.protocol = protocol
-        #: compact every tenant's record-replay log at checkpoint time
-        #: (docs/record_replay.md)
-        self.compact = compact
+        #: every tenant's JobOptions (restarted tenants inherit them from
+        #: their checkpoint); invalid values raise here, not mid-run
+        self.options = JobOptions().override(protocol=protocol,
+                                             compact=compact)
         #: shared-backend contention + the storage traffic ledger
         self.arbiter = StorageArbiter(self.engine)
         cluster.storage.arbiter = self.arbiter
@@ -285,14 +284,13 @@ class Facility:
                 slice_cluster, factory, spec.n_ranks, ranks_per_node=None,
                 mpi=spec.mpi, engine=self.engine, app_mem_bytes=app_data,
                 seed=seed, control=self.control, stragglers=self.stragglers,
-                protocol=self.protocol, compact=self.compact,
+                **self.options.as_dict(),
             )
         else:
             job = restart(
                 rec.ckpt, slice_cluster, factory, ranks_per_node=None,
                 mpi=spec.mpi, engine=self.engine, seed=seed,
                 control=self.control, stragglers=self.stragglers,
-                protocol=self.protocol, compact=self.compact,
             )
             rec.restarts += 1
         tenant = _Tenant(record=rec, job=job, nodes=tuple(node_ids),

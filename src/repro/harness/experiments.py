@@ -38,6 +38,7 @@ from repro.hardware.kernelmodel import PATCHED, UNPATCHED, KernelModel
 from repro.harness.parallel import SweepCell, memo, run_cells
 from repro.harness.results import Table
 from repro.mana.job import launch_mana, restart
+from repro.mana.protocol import JobOptions
 from repro.mpilib.launcher import launch
 from repro.runtime.native import NativeJob
 from repro.simtime import Engine
@@ -110,8 +111,8 @@ def _run_native(cluster: Cluster, spec: AppSpec, cfg, n_ranks: int,
 
 
 def _launch_mana_app(cluster: Cluster, spec: AppSpec, cfg, n_ranks: int,
-                     ranks_per_node: Optional[int], protocol: str = "alg2",
-                     compact: bool = False):
+                     ranks_per_node: Optional[int],
+                     options: JobOptions = JobOptions()):
     from repro.mana.split_process import fixed_upper_bytes
 
     # The app's memory model gives the *target image size*; the app-data
@@ -125,7 +126,7 @@ def _launch_mana_app(cluster: Cluster, spec: AppSpec, cfg, n_ranks: int,
     return launch_mana(
         cluster, spec.build(cfg), n_ranks=n_ranks,
         ranks_per_node=ranks_per_node, app_mem_bytes=app_data,
-        protocol=protocol, compact=compact,
+        **options.as_dict(),
     ).start()
 
 

@@ -233,17 +233,18 @@ def bench_ckpt_quiesce_wait(n_steps: int = 3) -> dict[str, float]:
     from repro.apps import get_app
     from repro.hardware.cluster import make_cluster
     from repro.harness.experiments import _launch_mana_app
+    from repro.mana.protocol import JobOptions
 
     spec = get_app("hpcg")
     cfg = spec.default_config.scaled(n_steps=n_steps)
     waits = {}
-    for protocol in ("alg2", "topo"):
-        cluster = make_cluster(f"perf-qw-{protocol}", 2,
+    for options in (JobOptions(protocol="alg2"), JobOptions(protocol="topo")):
+        cluster = make_cluster(f"perf-qw-{options.protocol}", 2,
                                interconnect="aries", default_mpi="craympich")
         job = _launch_mana_app(cluster, spec, cfg, n_ranks=4,
-                               ranks_per_node=2, protocol=protocol)
+                               ranks_per_node=2, options=options)
         _ckpt, report = job.checkpoint_at(0.05)
-        waits[f"{protocol}_s"] = report.quiesce_wait
+        waits[f"{options.protocol}_s"] = report.quiesce_wait
     return waits
 
 
@@ -262,6 +263,7 @@ def bench_restart_replay_vs_log_len(n_steps: int = 6) -> dict[str, float]:
     from repro.hardware.cluster import make_cluster
     from repro.harness.experiments import _launch_mana_app
     from repro.mana.job import restart
+    from repro.mana.protocol import JobOptions
 
     spec = get_app("commchurn")
     out: dict[str, float] = {}
@@ -272,13 +274,13 @@ def bench_restart_replay_vs_log_len(n_steps: int = 6) -> dict[str, float]:
                          default_mpi="craympich"),
             spec, cfg, n_ranks=4, ranks_per_node=2)
         makespan = probe.run_to_completion()
-        for compact in (False, True):
-            variant = "compact" if compact else "full"
+        for options in (JobOptions(compact=False), JobOptions(compact=True)):
+            variant = "compact" if options.compact else "full"
             cluster = make_cluster(f"perf-rr-{label}-{variant}", 2,
                                    interconnect="aries",
                                    default_mpi="craympich")
             job = _launch_mana_app(cluster, spec, cfg, n_ranks=4,
-                                   ranks_per_node=2, compact=compact)
+                                   ranks_per_node=2, options=options)
             ckpt, _report = job.checkpoint_at(0.9 * makespan)
             job2 = restart(
                 ckpt,

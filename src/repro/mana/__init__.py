@@ -14,7 +14,8 @@ simulated substrate:
 * :mod:`wrappers` — the interposed MPI API, including the two-phase
   collective wrapper (Algorithm 1) and p2p send/recv metadata recording;
 * :mod:`protocol` — the rank-side state machine of Algorithm 2
-  (``ready`` / ``in-phase-1`` / ``exit-phase-2``);
+  (``ready`` / ``in-phase-1`` / ``exit-phase-2``), and :class:`JobOptions`,
+  the options a job's checkpoints carry and its restarts inherit;
 * :mod:`coordinator` — the DMTCP-style checkpoint coordinator running
   Algorithm 2's coordinator side plus drain and write phases;
 * :mod:`checkpoint_image` — upper-half-only checkpoint images;
@@ -28,7 +29,7 @@ Public entry points: :func:`repro.mana.job.launch_mana` and
 from repro.mana.checkpoint_image import CheckpointError, CheckpointImage, CheckpointSet
 from repro.mana.coordinator import CheckpointReport, Coordinator
 from repro.mana.job import ManaJob, launch_mana, restart
-from repro.mana.protocol import CkptMsg, RankCkptState, WrapperPhase
+from repro.mana.protocol import CkptMsg, JobOptions, RankCkptState, WrapperPhase
 from repro.mana.split_process import SplitProcess
 from repro.mana.autockpt import run_with_periodic_checkpoints, young_daly_interval
 from repro.mana.storage import describe_checkpoint, load_checkpoint, save_checkpoint
@@ -43,6 +44,7 @@ __all__ = [
     "CkptMsg",
     "Coordinator",
     "HandleKind",
+    "JobOptions",
     "ManaApi",
     "ManaJob",
     "RankCkptState",

@@ -7,7 +7,7 @@ observation that "the communication overhead associated with the TCP layer
 increases with the number of ranks, especially due to metadata in the case
 of small messages" (§3.4, Fig. 8) falls out of exactly this term.
 
-The protocol state machine itself is pluggable (``protocol=``):
+The protocol state machine itself is pluggable (``JobOptions.protocol``):
 ``"alg2"`` is the paper's Algorithm 2 with the DMTCP-style pipeline
 (``do-ckpt`` → bookmarks → ``drain`` → ``write`` → ``resume``);
 ``"topo"`` is the topological-sort protocol v2 (single intent round,
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.hardware.storage import LustreModel
 from repro.mana.checkpoint_image import CheckpointSet
-from repro.mana.protocol import CkptMsg
+from repro.mana.protocol import CkptMsg, JobOptions
 from repro.mana.protocol_engine import make_protocol
 from repro.obs.events import Category
 from repro.simtime import Completion, Engine
@@ -81,7 +81,7 @@ class CheckpointReport:
     #: perfbench metric.
     quiesce_wait: float = 0.0
     #: which protocol engine produced this checkpoint
-    protocol: str = "alg2"
+    protocol: str = JobOptions.protocol
     #: topo only: ranks that hit the bounded-local-drain cycle fallback
     fallback_ranks: tuple = ()
 
@@ -105,9 +105,9 @@ class Coordinator:
         runtimes: list,
         storage: LustreModel,
         node_of: list[int],
+        options: JobOptions,
         rng: Optional[np.random.Generator] = None,
         control: Optional[ControlPlaneModel] = None,
-        protocol: str = "alg2",
     ) -> None:
         self.engine = engine
         self.runtimes = runtimes
@@ -115,8 +115,9 @@ class Coordinator:
         self.node_of = list(node_of)
         self.rng = rng
         self.control = control if control is not None else ControlPlaneModel()
-        self.protocol = protocol
-        self.proto = make_protocol(protocol, self)
+        #: the job's options; every checkpoint stamps them into its meta
+        self.options = options
+        self.proto = make_protocol(options.protocol, self)
         for rt in runtimes:
             rt.reply_fn = self._reply_from_rank
         self._phase: Optional[str] = None
@@ -239,7 +240,7 @@ class Coordinator:
             rounds=self._rounds,
             ckpt_set=CheckpointSet(images=images),
             quiesce_wait=quiesce_wait,
-            protocol=self.protocol,
+            protocol=self.options.protocol,
             fallback_ranks=tuple(fallback_ranks),
         )
         self._done.resolve(self._report)

@@ -27,6 +27,7 @@ from repro.mana.coordinator import (
     ControlPlaneModel,
     Coordinator,
 )
+from repro.mana.protocol import JobOptions
 from repro.mana.rank_runtime import ManaRankRuntime
 from repro.mana.split_process import SplitProcess
 from repro.mpilib.launcher import init_time, launch
@@ -160,58 +161,26 @@ class ManaJob:
         if isinstance(done.value, CheckpointAborted):
             raise done.value
         report: CheckpointReport = done.value
-        report.ckpt_set.meta.update(self.meta)
-        report.ckpt_set.meta["taken_at"] = self.engine.now
-        report.ckpt_set.meta["source_cluster"] = self.cluster.name
-        report.ckpt_set.meta["source_mpi"] = self.world.impl.name
+        meta = report.ckpt_set.meta
+        meta.update(self.meta)
+        meta["taken_at"] = self.engine.now
+        meta["source_cluster"] = self.cluster.name
+        meta["source_mpi"] = self.world.impl.name
+        meta["options"] = self.coordinator.options.as_dict()
         stats = [rt.last_compaction for rt in self.runtimes]
         if all(s is not None for s in stats):
             # summed across ranks; per-rank stats live in each image's log
-            report.ckpt_set.meta["log_compaction"] = {
+            meta["log_compaction"] = {
                 key: sum(s[key] for s in stats) for key in stats[0]
             }
+        else:  # a restarted job's meta may carry its source's stats
+            meta.pop("log_compaction", None)
         return report.ckpt_set, report
 
     def checkpoint_at(self, t: float) -> tuple[CheckpointSet, CheckpointReport]:
         """Run until virtual time ``t``, then checkpoint."""
         self.run_until(t)
         return self.checkpoint()
-
-
-def _build_runtimes(
-    engine: Engine,
-    cluster: Cluster,
-    world,
-    program_factory: ProgramFactory,
-    app_mem_bytes: Union[int, Callable[[int], int]],
-    states: Optional[list[ProgramState]] = None,
-    compact: bool = False,
-) -> list[ManaRankRuntime]:
-    n_ranks = world.size
-    n_nodes = len(set(world.placement))
-    ranks_per_node = max(
-        world.placement.count(n) for n in set(world.placement)
-    )
-    runtimes = []
-    for rank in range(n_ranks):
-        node = cluster.node(world.node_of(rank))
-        mem = app_mem_bytes(rank) if callable(app_mem_bytes) else app_mem_bytes
-        proc = SplitProcess(
-            rank, node.kernel, app_mem_bytes=mem,
-            upper_mpi_copy_bytes=world.impl.text_size,
-        )
-        proc.bootstrap_lower_half(
-            world.impl, world.fabric, world.shmem, n_nodes, ranks_per_node
-        )
-        rt = ManaRankRuntime(
-            engine, rank, n_ranks, proc, world.endpoints[rank],
-            program_factory(rank, n_ranks),
-            state=states[rank] if states else None,
-            core_speed=node.core_speed,
-            compact=compact,
-        )
-        runtimes.append(rt)
-    return runtimes
 
 
 def launch_mana(
@@ -225,26 +194,38 @@ def launch_mana(
     seed: int = 0,
     control: Optional[ControlPlaneModel] = None,
     stragglers: bool = True,
-    protocol: str = "alg2",
-    compact: bool = False,
+    protocol: Optional[str] = None,
+    compact: Optional[bool] = None,
 ) -> ManaJob:
     """Launch a program under MANA on ``cluster``.  Does not start the
     drivers — call :meth:`ManaJob.start` (so tests can instrument first).
-
-    ``protocol`` selects the checkpoint protocol engine (``"alg2"`` or
-    ``"topo"``; see docs/protocols.md).  ``compact=True`` compacts each
-    rank's record log at checkpoint time so restart replay cost tracks live
-    handles (docs/record_replay.md)."""
+    ``protocol`` / ``compact`` are the job's :class:`JobOptions`; an
+    omitted one takes its default, an invalid one raises here."""
+    options = JobOptions().override(protocol=protocol, compact=compact)
     engine = engine or Engine()
     world = launch(engine, cluster, n_ranks, ranks_per_node=ranks_per_node, mpi=mpi)
-    runtimes = _build_runtimes(
-        engine, cluster, world, program_factory, app_mem_bytes,
-        compact=compact,
-    )
+    nodes = set(world.placement)
+    rpn = max(world.placement.count(n) for n in nodes)
+    runtimes = []
+    for rank in range(n_ranks):
+        node = cluster.node(world.node_of(rank))
+        mem = app_mem_bytes(rank) if callable(app_mem_bytes) else app_mem_bytes
+        proc = SplitProcess(
+            rank, node.kernel, app_mem_bytes=mem,
+            upper_mpi_copy_bytes=world.impl.text_size,
+        )
+        proc.bootstrap_lower_half(
+            world.impl, world.fabric, world.shmem, len(nodes), rpn
+        )
+        runtimes.append(ManaRankRuntime(
+            engine, rank, n_ranks, proc, world.endpoints[rank],
+            program_factory(rank, n_ranks), options,
+            core_speed=node.core_speed,
+        ))
     rng = np.random.default_rng(seed) if stragglers else None
     coordinator = Coordinator(
-        engine, runtimes, cluster.storage, list(world.placement),
-        rng=rng, control=control, protocol=protocol,
+        engine, runtimes, cluster.storage, list(world.placement), options,
+        rng=rng, control=control,
     )
     return ManaJob(
         engine, cluster, world, runtimes, coordinator,
@@ -262,19 +243,19 @@ def restart(
     seed: int = 0,
     control: Optional[ControlPlaneModel] = None,
     stragglers: bool = True,
-    protocol: str = "alg2",
-    compact: bool = False,
+    protocol: Optional[str] = None,
+    compact: Optional[bool] = None,
 ) -> ManaJob:
     """Restart a checkpointed job on ``cluster`` — any implementation, any
     interconnect, any rank layout.  Returns a job whose drivers resume once
     init + image reads + record-replay have completed (all modeled on the
     job's fresh engine); ``job.restart_report`` is filled in at that point.
-    ``compact`` governs *future* checkpoints of the restarted job; whether
-    the image being restored was compacted is a property of the image.
+    The job inherits the :class:`JobOptions` in ``ckpt.meta``; ``protocol``
+    / ``compact``, when passed, override them for its future checkpoints.
     """
-    engine = engine or Engine()
+    options = JobOptions(**ckpt.meta.get("options", {})).override(
+        protocol=protocol, compact=compact)
     n_ranks = ckpt.n_ranks
-    world = launch(engine, cluster, n_ranks, ranks_per_node=ranks_per_node, mpi=mpi)
 
     def mem_for(rank: int) -> int:
         for desc in ckpt.image_for(rank).regions:
@@ -282,19 +263,15 @@ def restart(
                 return desc.size
         return 16 * MB
 
-    runtimes = _build_runtimes(
-        engine, cluster, world, program_factory, mem_for,
-        compact=compact,
+    # a restart is a launch of fresh lower halves, then reads and replay
+    job = launch_mana(
+        cluster, program_factory, n_ranks, ranks_per_node=ranks_per_node,
+        mpi=mpi, engine=engine, app_mem_bytes=mem_for, seed=seed,
+        control=control, stragglers=stragglers, **options.as_dict(),
     )
-    rng = np.random.default_rng(seed) if stragglers else None
-    coordinator = Coordinator(
-        engine, runtimes, cluster.storage, list(world.placement),
-        rng=rng, control=control, protocol=protocol,
-    )
-    job = ManaJob(
-        engine, cluster, world, runtimes, coordinator,
-        meta=dict(ckpt.meta, restarted=True),
-    )
+    job.meta = dict(ckpt.meta, restarted=True)
+    engine, world, runtimes = job.engine, job.world, job.runtimes
+    rng = job.coordinator.rng
 
     t_start = engine.now
     t_init = init_time(world.impl, n_ranks)

@@ -1,4 +1,5 @@
-"""Algorithm 2's vocabulary and the rank-side state machine.
+"""Algorithm 2's vocabulary, the rank-side state machine, and the job
+options (:class:`JobOptions`) that select a checkpoint protocol.
 
 Messages (coordinator → rank): ``intend-to-checkpoint``, ``extra-iteration``,
 ``do-ckpt``; rank states reported back: ``ready``, ``in-phase-1``,
@@ -22,7 +23,7 @@ rank reports ``exit-phase-2``, exactly as printed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 
@@ -80,6 +81,37 @@ TOPO_PHASE_SPANS = {
 
 #: checkpoint protocols selectable via the ``protocol=`` knob
 PROTOCOLS = ("alg2", "topo")
+
+
+@dataclass(frozen=True)
+class JobOptions:
+    """How a MANA job checkpoints: the one place these options' names,
+    defaults and checks live.  Every checkpoint stamps them into
+    ``CheckpointSet.meta["options"]`` and ``restart`` inherits them from
+    there (docs/architecture.md, "Job options")."""
+
+    #: checkpoint protocol engine, one of :data:`PROTOCOLS`
+    #: (docs/protocols.md)
+    protocol: str = "alg2"
+    #: compact the record log at checkpoint time (docs/record_replay.md)
+    compact: bool = False
+
+    def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown checkpoint protocol {self.protocol!r} "
+                             f"(choose from {list(PROTOCOLS)})")
+        if not isinstance(self.compact, bool):
+            raise TypeError(f"compact must be a bool, got {self.compact!r}")
+
+    def as_dict(self) -> dict:
+        """The ``meta["options"]`` entry, also the ``protocol=`` /
+        ``compact=`` keywords of ``launch_mana``."""
+        return asdict(self)
+
+    def override(self, **changes) -> "JobOptions":
+        """A copy with every keyword that is not None replaced."""
+        return replace(self, **{k: v for k, v in changes.items()
+                                if v is not None})
 
 
 def ctrl_instant_name(msg: "CkptMsg") -> str:

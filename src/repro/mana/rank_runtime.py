@@ -21,6 +21,7 @@ from typing import Any, Callable, Optional
 from repro.mana.checkpoint_image import CheckpointImage
 from repro.mana.protocol import (
     CkptMsg,
+    JobOptions,
     ProtocolMode,
     RankCkptState,
     RankProtocol,
@@ -230,9 +231,8 @@ class ManaRankRuntime:
         proc: SplitProcess,
         endpoint: MpiEndpoint,
         program: Program,
-        state: Optional[ProgramState] = None,
+        options: JobOptions,
         core_speed: float = 1.0,
-        compact: bool = False,
     ) -> None:
         self.engine = engine
         self.rank = rank
@@ -240,8 +240,8 @@ class ManaRankRuntime:
         self.proc = proc
         self.endpoint = endpoint
         self.program = program
-        #: compact the record log at checkpoint time (docs/record_replay.md)
-        self.compact = compact
+        #: the job's JobOptions (``compact`` is read at checkpoint time)
+        self.options = options
         #: stats dict of the most recent checkpoint's compaction pass
         self.last_compaction: Optional[dict] = None
         #: False once the rank's node crashed: the helper thread is gone (it
@@ -322,9 +322,7 @@ class ManaRankRuntime:
         self.ctx_to_vcomm[endpoint.comm_world.context_id] = VCOMM_WORLD
 
         self.api = ManaApi(self)
-        app_state = state if state is not None else ProgramState()
-        app_state.setdefault("rank", rank)
-        app_state.setdefault("size", n_ranks)
+        app_state = ProgramState(rank=rank, size=n_ranks)
         self.driver = RankDriver(
             engine, Interpreter(program, app_state), self.api,
             core_speed=core_speed, label=f"mana-r{rank}",
@@ -746,7 +744,7 @@ class ManaRankRuntime:
 
     def capture_state(self) -> dict:
         """The picklable restore payload (everything upper-half)."""
-        log_snap = self.log.snapshot(compact=self.compact, table=self.table,
+        log_snap = self.log.snapshot(compact=self.options.compact, table=self.table,
                                      n_ranks=self.n_ranks)
         self.last_compaction = (
             log_snap.get("stats") if isinstance(log_snap, dict) else None

@@ -173,6 +173,11 @@ class Call(Node):
     is stored into ``state[store]`` if ``store`` is given.  Under MANA, the
     ``api`` is the interposed wrapper layer; natively it is a thin adapter
     over the raw endpoint — the program text is identical either way.
+
+    A ``fn`` that blocks must not mutate program state: a restart from a
+    checkpoint cut inside the call re-executes the leaf, ``fn`` included
+    (docs/architecture.md, "The leaf re-execution contract").  Do the
+    bookkeeping in a :class:`Compute` node after the call.
     """
 
     kind = "call"

@@ -186,7 +186,7 @@ def test_lulesh_joins_the_mix_at_cube_rank_counts():
 # ------------------------------------------------- protocol / compact axes
 
 def test_alternate_protocol_chains_across_engines():
-    """A chained cycle cut under alg2 -> topo -> alg2: a checkpoint taken
+    """A chained cycle cut under alg2, then topo: a checkpoint taken
     by one protocol must restore cleanly under the other, with state and
     3-segment conservation oracles intact."""
     res = differential_cycle("gromacs", SRC, DST, seed=4, k=1, chain=True,
@@ -265,10 +265,45 @@ def test_cross_compact_oracle_checks_fingerprint_and_replay_count():
     assert check([full, lone])[1].ok
 
 
-def test_unknown_axis_values_rejected():
-    from repro.conformance.harness import _parse_compact_axis
+@pytest.mark.parametrize("k, src_index", [(1, 0), (0, 2)],
+                         ids=["chained-k1", "third-source"])
+def test_repro_line_reruns_the_same_cycle(tmp_path, k, src_index):
+    """A divergence's repro line, fed back to the CLI, re-runs that very
+    (app, pair, k, protocol, compact) cycle at the sweep's shape — for a
+    chained k=1 cycle, and for a cut on a third source cell."""
+    import io
+    import json
+    import shlex
 
+    from repro.cli import main
+    from repro.conformance import source_cells
+    from repro.conformance.harness import ConformanceReport
+    from repro.conformance.oracles import Divergence
+
+    dsts = matrix_for("quick")
+    src = source_cells(dsts, 3)[src_index]
+    dst = next(d for d in dsts if d != src)
+    bad = _cycle(src=src.as_tuple(), dst=dst.as_tuple(), seed=3, k=k,
+                 protocol="topo", compact=True,
+                 divergences=(Divergence("golden_state", "a", "b", "x"),))
+    report = ConformanceReport(tier="quick", seed=3, n_ranks=2, n_steps=3,
+                               apps=("gromacs",), results=[bad],
+                               protocol="topo", compact="on")
+    argv = shlex.split(report.as_dict()["cycle_results"][0]["repro"])
+    assert argv[:3] == ["python", "-m", "repro"]
+
+    out = tmp_path / "rerun.json"
+    assert main(argv[3:] + ["--report", str(out)], out=io.StringIO()) == 0
+    rerun = json.loads(out.read_text())
+    assert (rerun["n_ranks"], rerun["n_steps"]) == (2, 3)
+    assert ("gromacs", bad.pair, k, "topo", True) in {
+        (r["app"], r["pair"], r["k"], r["protocol"], r["compact"])
+        for r in rerun["cycle_results"]
+    }
+
+
+def test_unknown_axis_values_rejected():
     with pytest.raises(ValueError, match="unknown protocol"):
         run_conformance(tier="quick", protocol="nope")
     with pytest.raises(ValueError, match="unknown compact axis"):
-        _parse_compact_axis("sometimes")
+        run_conformance(tier="quick", compact="sometimes")

@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.oracles import (
@@ -455,7 +455,8 @@ def test_compact_then_noncompact_checkpoint_carries_local_bindings(cluster):
     # hop 2: restart WITHOUT compaction, checkpoint again — the datatype
     # create no longer exists in any log, so the binding must carry forward
     mid = make_cluster("mid", 2, interconnect="tcp")
-    job2 = restart(ckpt, mid, factory, mpi="mpich", ranks_per_node=2)
+    job2 = restart(ckpt, mid, factory, mpi="mpich", ranks_per_node=2,
+                   compact=False)
     while not job2.resumed.done:
         assert job2.engine.step()
     rep = job2.restart_report
@@ -477,7 +478,8 @@ def test_compact_then_noncompact_checkpoint_carries_local_bindings(cluster):
 
 # ----------------------------------------- property: compacted ≡ full
 
-_OPS = ("dup", "split_u", "split_p", "type", "group")
+_COMM_OPS = ("dup", "split_u", "split_p")
+_OPS = _COMM_OPS + ("type", "group")
 
 
 def _scripted_factory(script):
@@ -502,8 +504,9 @@ def _scripted_factory(script):
     def _use(s, api):
         op, delay = script[s["step"]]
         step = s["step"]
-        if op in ("dup", "split_u", "split_p"):
-            s["due"].append((step + delay, "comm", s["made"]))
+        if op in _COMM_OPS:
+            # a blocking Call fn must not mutate program state: a cut
+            # inside the allreduce re-executes this leaf at restart
             return api.allreduce(np.array([float(s["rank"] + step)]), SUM,
                                  comm=s["made"], size=16)
         if op == "type":
@@ -517,6 +520,11 @@ def _scripted_factory(script):
             s["due"].append((step + delay, "group", g))
             s["due"].append((step + delay, "group", half))
         return _done(api, np.zeros(1))
+
+    def _note_comm(s):
+        op, delay = script[s["step"]]
+        if op in _COMM_OPS:
+            s["due"].append((s["step"] + delay, "comm", s["made"]))
 
     def _retire(s, api):
         step = s["step"]
@@ -542,6 +550,7 @@ def _scripted_factory(script):
             Loop(len(script), Seq(
                 Call(_create, store="made"),
                 Call(_use, store="got"),
+                Compute(_note_comm),
                 Call(_retire),
                 Compute(_absorb, cost=0.3e-3),
             ), var="step"),
@@ -559,6 +568,8 @@ def _scripted_factory(script):
     ),
     ckpt_frac=st.floats(0.15, 0.85),
 )
+@example(script=[("type", 0), ("type", 0), ("type", 0), ("dup", 2),
+                 ("dup", 0)], ckpt_frac=0.33203125)
 def test_property_compacted_replay_equals_full_replay(script, ckpt_frac):
     """The tentpole invariant, fuzzed over churn histories and checkpoint
     times: compaction must never change a single replayed bit, across
