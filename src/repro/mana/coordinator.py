@@ -192,6 +192,11 @@ class Coordinator:
             )
         done.resolve(CheckpointAborted(rank, aborted_phase))
 
+    def unlink(self) -> None:
+        """Break the protocol engine's back-reference to this coordinator
+        (the finalizer of a dropped job calls this)."""
+        self.proto.c = None
+
     # ----------------------------------------------------------- messaging
 
     def _broadcast(self, msg: CkptMsg, payload_fn: Callable[[int], Any]) -> None:

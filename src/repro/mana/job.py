@@ -14,6 +14,7 @@ the images, and resumes the application exactly where it was.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -200,8 +201,18 @@ def launch_mana(
     """Launch a program under MANA on ``cluster``.  Does not start the
     drivers — call :meth:`ManaJob.start` (so tests can instrument first).
     ``protocol`` / ``compact`` are the job's :class:`JobOptions`; an
-    omitted one takes its default, an invalid one raises here."""
+    omitted one takes its default, an invalid one raises here.
+
+    A dropped job is freed by reference counting (see :func:`_unlink`).
+    An engine created here belongs to the job: dropping the job before it
+    finished kills it and cancels every event still queued on the engine,
+    though its clock, metrics and trace stay readable.  On a caller's
+    ``engine``, a job dropped before it finished keeps its events and is
+    left to the cycle collector.  A part
+    kept beyond its job (a runtime, the world) stays readable — its log,
+    tables and statistics — but runs no further MPI calls."""
     options = JobOptions().override(protocol=protocol, compact=compact)
+    own_engine = engine is None
     engine = engine or Engine()
     world = launch(engine, cluster, n_ranks, ranks_per_node=ranks_per_node, mpi=mpi)
     nodes = set(world.placement)
@@ -227,10 +238,43 @@ def launch_mana(
         engine, runtimes, cluster.storage, list(world.placement), options,
         rng=rng, control=control,
     )
-    return ManaJob(
+    job = ManaJob(
         engine, cluster, world, runtimes, coordinator,
         meta={"n_ranks": n_ranks, "seed": seed},
     )
+    weakref.finalize(job, _unlink, own_engine, [
+        weakref.ref(part) for part in (engine, world, coordinator, *runtimes)
+    ]).atexit = False
+    return job
+
+
+def _unlink(own_engine: bool, refs: list) -> None:
+    """Finalizer of a dropped job: break its parts' back-references.
+
+    Every reference cycle of a job runs through one of them (world <->
+    endpoints, runtime <-> API, driver -> runtime -> coordinator <->
+    protocol), so the job is then freed by reference counting instead of
+    waiting for the cycle collector.  The links are broken only once no
+    event can run the job further: it finished, or it owned its engine,
+    whose queued events are then cancelled and whose ranks are killed.
+    ``refs`` (the engine, world, coordinator and runtimes) are weak, so
+    the finalizer never keeps a job alive; a job the cycle collector
+    frees finds them dead and is left alone.
+    """
+    parts = [ref() for ref in refs]
+    if any(part is None for part in parts):
+        return
+    engine, world, coordinator, *runtimes = parts
+    if not all(rt.driver.finished.done for rt in runtimes):
+        if not own_engine:
+            return  # events on the caller's engine may still run it
+        engine.discard_pending()
+        for rt in runtimes:
+            rt.kill()
+    world.unlink()
+    coordinator.unlink()
+    for rt in runtimes:
+        rt.unlink()
 
 
 def restart(

@@ -150,10 +150,11 @@ class ProtocolMode(enum.Enum):
 class RankProtocol:
     """Per-rank protocol bookkeeping, owned by the rank runtime.
 
-    The runtime consults :meth:`may_enter_wrapper` at wrapper entry and
-    reports through :meth:`classify` when an intend/extra-iteration message
-    arrives.  ``pending_reply`` is set while the rank is in phase 2 and owes
-    the coordinator a deferred ``exit-phase-2`` answer.
+    A wrapper enters only in ``NORMAL`` mode and otherwise holds at entry
+    (Algorithm 2 line 28); the runtime reports through :meth:`classify`
+    when an intend/extra-iteration message arrives.  ``pending_reply`` is
+    set while the rank is in phase 2 and owes the coordinator a deferred
+    ``exit-phase-2`` answer.
     """
 
     mode: ProtocolMode = ProtocolMode.NORMAL
@@ -165,10 +166,6 @@ class RankProtocol:
     #: last reply was in-phase-1 and has not been revised — committing into
     #: phase 2 while this is set requires sending REVISE_IN_PHASE_1
     replied_in_phase1: bool = False
-
-    def may_enter_wrapper(self) -> bool:
-        """Algorithm 2 line 28: under a pending intent, hold at entry."""
-        return self.mode is ProtocolMode.NORMAL
 
     def classify(self) -> Optional[RankCkptState]:
         """State to report for an intend/extra-iteration message, or None if

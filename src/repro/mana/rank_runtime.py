@@ -329,6 +329,14 @@ class ManaRankRuntime:
         )
         self.driver.leaf_done_hook = self._on_leaf_done
 
+    def unlink(self) -> None:
+        """Break this runtime's back-references: its API's, its driver's
+        leaf hook and its reply channel to the coordinator (the finalizer
+        of a dropped job calls this)."""
+        self.api.rt = None
+        self.driver.leaf_done_hook = None
+        self.reply_fn = None
+
     # ------------------------------------------------------ wrapper support
 
     def register_comm(self, real: Communicator) -> int:
@@ -337,11 +345,13 @@ class ManaRankRuntime:
         self.ctx_to_vcomm[real.context_id] = vid
         return vid
 
-    def unregister_comm(self, vid: int) -> None:
-        """Retire a communicator's virtual id (MPI_Comm_free)."""
+    def unregister_comm(self, vid: int) -> Communicator:
+        """Retire a communicator's virtual id (MPI_Comm_free); returns the
+        real communicator it was bound to."""
         real = self.table.resolve(HandleKind.COMM, vid)
         self.ctx_to_vcomm.pop(real.context_id, None)
         self.table.unregister(HandleKind.COMM, vid)
+        return real
 
     def hold_at_wrapper_entry(self, closure: Callable[[], None]) -> None:
         """Algorithm 2 line 28: park a wrapper entry until after checkpoint."""

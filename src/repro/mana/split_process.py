@@ -23,6 +23,8 @@ and back); :meth:`fs_transition_cost` exposes the node kernel's price.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 
 from repro.hardware.kernelmodel import KernelModel
 from repro.memory import AddressSpace, Half, MemoryRegion, Perm, RegionKind, UpperHeap
@@ -90,13 +92,15 @@ class SplitProcess:
     # ----------------------------------------------------------- sbrk (§2.1)
 
     def _install_sbrk_interposer(self) -> None:
-        counter = {"n": 0}
+        # The space holds the interposer, so the interposer reaches the
+        # space through a weak reference: no cycle keeps a dropped process.
+        space = weakref.ref(self.space)
+        serial = itertools.count(1)
 
         def interposer(increment: int) -> MemoryRegion:
-            counter["n"] += 1
-            return self.space.mmap(
+            return space().mmap(
                 increment, Perm.RW, Half.UPPER, RegionKind.ANON,
-                name=f"upper-sbrk-mmap-{counter['n']}",
+                name=f"upper-sbrk-mmap-{next(serial)}",
             )
 
         self.space.sbrk_interposer = interposer

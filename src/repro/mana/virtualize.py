@@ -15,7 +15,6 @@ charges :data:`LOOKUP_COST` per translated handle.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 #: Modeled cost of one virtual-handle table lookup (hash + lock), seconds.
@@ -41,18 +40,22 @@ VCOMM_WORLD = 1
 
 
 class VirtualHandleTable:
-    """One rank's virtual↔real mapping for every handle kind."""
+    """One rank's virtual↔real mapping for every handle kind.
+
+    The per-kind maps are keyed by the kind's value string, read as
+    ``kind._value_``: hashing an enum member is a Python-level call, and
+    every wrapper call translates at least one handle.
+    """
 
     def __init__(self) -> None:
         # virtual ids start above the predefined range
-        self._counters = {kind: itertools.count(1000) for kind in HandleKind}
-        self._real: dict[HandleKind, dict[int, Any]] = {k: {} for k in HandleKind}
-        #: ``_real[HandleKind.COMM]``, the map every p2p wrapper call reads:
-        #: reached without hashing the enum member (a Python-level call)
-        self._comms = self._real[HandleKind.COMM]
+        self._next: dict[str, int] = {k.value: 1000 for k in HandleKind}
+        self._real: dict[str, dict[int, Any]] = {k.value: {} for k in HandleKind}
+        #: ``_real["comm"]``, the map every p2p wrapper call reads
+        self._comms = self._real[HandleKind.COMM.value]
         #: vids whose real side was discarded (restore / clear_reals) and
         #: that replay is therefore entitled to rebind
-        self._expected: dict[HandleKind, set[int]] = {k: set() for k in HandleKind}
+        self._expected: dict[str, set[int]] = {k.value: set() for k in HandleKind}
         #: cumulative lookup count (drives the modeled overhead and tests)
         self.lookups = 0
 
@@ -61,12 +64,18 @@ class VirtualHandleTable:
     def register(self, kind: HandleKind, real: Any,
                  virtual: Optional[int] = None) -> int:
         """Bind ``real`` to a (new or given) virtual id; returns the id."""
-        vid = next(self._counters[kind]) if virtual is None else int(virtual)
-        if vid in self._real[kind]:
+        key = kind._value_
+        if virtual is None:
+            vid = self._next[key]
+            self._next[key] = vid + 1
+        else:
+            vid = int(virtual)
+        reals = self._real[key]
+        if vid in reals:
             raise VirtualizationError(
-                f"virtual {kind.value} handle {vid} already bound"
+                f"virtual {key} handle {vid} already bound"
             )
-        self._real[kind][vid] = real
+        reals[vid] = real
         return vid
 
     def rebind(self, kind: HandleKind, virtual: int, real: Any) -> None:
@@ -78,27 +87,28 @@ class VirtualHandleTable:
         replay bug — raising here surfaces it instead of silently minting a
         binding nothing else is accounting for.
         """
+        key = kind._value_
         vid = int(virtual)
-        if vid not in self._real[kind] and vid not in self._expected[kind]:
+        if vid not in self._real[key] and vid not in self._expected[key]:
             raise VirtualizationError(
-                f"virtual {kind.value} handle {vid} was never bound; "
+                f"virtual {key} handle {vid} was never bound; "
                 "refusing to rebind a dangling handle"
             )
-        self._expected[kind].discard(vid)
-        self._real[kind][vid] = real
+        self._expected[key].discard(vid)
+        self._real[key][vid] = real
 
     def expects_rebind(self, kind: HandleKind, virtual: int) -> bool:
         """True if ``virtual`` is owed a real object by replay (it was bound
         when the snapshot was cut / the lower half was discarded)."""
-        return int(virtual) in self._expected[kind]
+        return int(virtual) in self._expected[kind._value_]
 
     def unregister(self, kind: HandleKind, virtual: int) -> None:
         """Drop a binding (e.g. MPI_Comm_free)."""
         try:
-            del self._real[kind][int(virtual)]
+            del self._real[kind._value_][int(virtual)]
         except KeyError:
             raise VirtualizationError(
-                f"virtual {kind.value} handle {virtual} is not bound"
+                f"virtual {kind._value_} handle {virtual} is not bound"
             ) from None
 
     # ------------------------------------------------------------ lookups
@@ -109,22 +119,22 @@ class VirtualHandleTable:
         try:
             if kind is HandleKind.COMM:
                 return self._comms[int(virtual)]
-            return self._real[kind][int(virtual)]
+            return self._real[kind._value_][int(virtual)]
         except KeyError:
             raise VirtualizationError(
-                f"dangling virtual {kind.value} handle {virtual}"
+                f"dangling virtual {kind._value_} handle {virtual}"
             ) from None
 
     def reverse(self, kind: HandleKind, real: Any) -> Optional[int]:
         """Real object -> virtual id (identity comparison), or None."""
-        for vid, obj in self._real[kind].items():
+        for vid, obj in self._real[kind._value_].items():
             if obj is real:
                 return vid
         return None
 
     def bound(self, kind: HandleKind) -> dict[int, Any]:
         """Snapshot of the current bindings of one kind."""
-        return dict(self._real[kind])
+        return dict(self._real[kind._value_])
 
     # -------------------------------------------------------- persistence
 
@@ -134,35 +144,29 @@ class VirtualHandleTable:
         Real objects are *not* captured — they belong to the lower half and
         are rebuilt by record-replay at restart.
         """
-        # Peek each counter without consuming a value.
-        nexts = {}
-        for kind, counter in self._counters.items():
-            probe = next(counter)
-            nexts[kind.value] = probe
-            self._counters[kind] = itertools.chain([probe], counter)
         return {
-            "next": nexts,
-            "bound": {k.value: sorted(self._real[k]) for k in HandleKind},
+            "next": dict(self._next),
+            "bound": {key: sorted(reals) for key, reals in self._real.items()},
         }
 
     def restore(self, snap: dict) -> None:
         """Install counters from a snapshot; bindings start empty (real
         objects are supplied by :meth:`rebind` during replay).  The
         snapshot's bound-vid sets become the rebind entitlement."""
-        for kind in HandleKind:
-            self._counters[kind] = itertools.count(snap["next"].get(kind.value, 1000))
-            self._real[kind].clear()
-            self._expected[kind] = set(
-                int(v) for v in snap["bound"].get(kind.value, ())
+        for key, reals in self._real.items():
+            self._next[key] = snap["next"].get(key, 1000)
+            reals.clear()
+            self._expected[key] = set(
+                int(v) for v in snap["bound"].get(key, ())
             )
 
     def clear_reals(self) -> list[tuple[HandleKind, int]]:
         """Forget every real object (the lower half is being discarded);
         returns the (kind, virtual) pairs that must be rebuilt by replay."""
         dangling = [
-            (kind, vid) for kind in HandleKind for vid in self._real[kind]
+            (kind, vid) for kind in HandleKind for vid in self._real[kind.value]
         ]
-        for kind in HandleKind:
-            self._expected[kind].update(self._real[kind])
-            self._real[kind].clear()
+        for key, reals in self._real.items():
+            self._expected[key].update(reals)
+            reals.clear()
         return dangling

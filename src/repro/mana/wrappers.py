@@ -33,7 +33,6 @@ from repro.mana.virtualize import (
 from repro.mpilib.comm import ANY_SOURCE, ANY_TAG, Communicator, Group
 from repro.mpilib.datatypes import Datatype, contiguous, struct, vector
 from repro.mpilib.ops import ReduceOp
-from repro.mpilib.world import Status
 from repro.obs.events import Category
 from repro.runtime.api import MpiApi
 from repro.simtime import Completion
@@ -67,6 +66,127 @@ class FileBinding:
     vcomm: int
     path: str
     mode: str
+
+
+class _TwoPhaseCall:
+    """One collective call through the two-phase wrapper (Algorithm 1).
+
+    The wrapper's steps are this object's bound methods: :meth:`enter`
+    (held at entry while a checkpoint intent is pending, else into the
+    trivial barrier), :meth:`committed` (the barrier completed),
+    :meth:`enter_phase2` (the real collective) and :meth:`finished`.  The
+    object never refers to itself, so it is freed by reference counting as
+    soon as its last step has run.
+
+    ``issue(real)`` starts the real collective on the lower-half
+    communicator ``real``; ``out`` resolves with the call's result.  The
+    wait of a nonblocking collective carries its request record as
+    ``icoll``: phase 1 is the Ibarrier posted with the request, and the
+    result is stored on the record.  A persistent call carries ``persist``,
+    its ``(label, log args)``: the new communicator is registered under a
+    virtual handle and recorded for replay, and ``out`` resolves with that
+    handle (or None).
+    """
+
+    __slots__ = ("rt", "real", "issue", "out", "icoll", "persist")
+
+    def __init__(self, rt, real: Communicator,
+                 issue: Callable[[Communicator], Completion], out: Completion,
+                 icoll=None, persist: Optional[tuple] = None) -> None:
+        self.rt = rt
+        self.real = real
+        self.issue = issue
+        self.out = out
+        self.icoll = icoll
+        self.persist = persist
+
+    def enter(self) -> None:
+        rt = self.rt
+        icoll = self.icoll
+        if icoll is not None and icoll.done:
+            rt.defer_free("icoll", icoll.vreq)
+            self.out.resolve(icoll.value)
+            return
+        protocol = rt.protocol
+        if protocol.mode is not ProtocolMode.NORMAL:
+            # Algorithm 2 line 28: under a pending intent, hold before the
+            # collective call.
+            rt.hold_at_wrapper_entry(self.enter)
+            return
+        if icoll is not None and not icoll.posted:
+            rt._post_icoll_barrier(icoll)
+        protocol.phase = WrapperPhase.PHASE_1
+        rt.current_wrapper_comm = self.real
+        if icoll is None:
+            rt.stats.trivial_barriers += 1
+            barrier = rt.endpoint.barrier(self.real)
+        else:
+            barrier = icoll.barrier
+        rt.current_trivial_barrier = barrier
+        barrier.on_done(self.committed)
+
+    def committed(self, _value: Any) -> None:
+        # Barrier completion is the commit point: flow into phase 2 even
+        # under a pending intent (see protocol.py docstring).
+        rt = self.rt
+        rt.current_trivial_barrier = None
+        protocol = rt.protocol
+        if protocol.replied_in_phase1 and \
+                protocol.mode is ProtocolMode.PRE_CKPT:
+            # Synchronous revision rule (found by the model checker): our
+            # in-phase-1 reply is stale; tell the coordinator and park until
+            # it acknowledges, so no round can ever complete against the
+            # stale reply.
+            protocol.replied_in_phase1 = False
+            protocol.pending_reply = True
+            protocol.phase = WrapperPhase.COMMIT_PENDING
+            rt.await_revision_ack(self.enter_phase2)
+            return
+        # QUIESCED commits happen only after every image is on disk (the
+        # barrier needs all members, and held members are released by
+        # resume): the round is over, no revision is owed.
+        protocol.replied_in_phase1 = False
+        self.enter_phase2()
+
+    def enter_phase2(self) -> None:
+        self.rt.protocol.phase = WrapperPhase.PHASE_2
+        self.issue(self.real).on_done(self.finished)
+
+    def finished(self, value: Any) -> None:
+        rt = self.rt
+        rt.current_wrapper_comm = None
+        if rt.protocol.note_phase2_exit():
+            rt.send_deferred_exit_reply()
+        self.resolve(value)
+
+    def issue_bare(self) -> None:
+        """Ablation: the real collective alone, no Algorithm-1 wrapper."""
+        self.issue(self.real).on_done(self.resolve)
+
+    def resolve(self, value: Any) -> None:
+        """The real collective returned ``value``: hand the result over."""
+        icoll = self.icoll
+        if icoll is not None:
+            icoll.done = True
+            icoll.value = value
+            self.rt.defer_free("icoll", icoll.vreq)
+        elif self.persist is not None:
+            value = self._register(value)
+        self.out.resolve(value)
+
+    def _register(self, real_result: Any) -> Optional[int]:
+        rt = self.rt
+        label, log_args = self.persist
+        if real_result is None:
+            rt.log.record(label, log_args, None)
+            return None
+        vid = rt.register_comm(real_result)
+        # Record the result membership too: checkpoint-time compaction may
+        # only cancel a dead comm_split when its result covered the whole
+        # parent (docs/record_replay.md); replay itself never reads it.
+        rt.log.record(label, log_args, vid,
+                      group=tuple(real_result.group.world_ranks))
+        return vid
 
 
 class ManaApi(MpiApi):
@@ -108,16 +228,6 @@ class ManaApi(MpiApi):
             HandleKind.COMM, VCOMM_WORLD if vcomm is None else vcomm
         )
 
-    def _overhead(self, handles: int = 1, p2p: bool = False) -> float:
-        # One interposed call = upper->lower->upper (two FS-register
-        # switches) plus one table lookup per translated handle.
-        self._m_fs.inc(2)
-        self._m_lookups.inc(handles)
-        cost = self.rt.proc.fs_transition_cost() + handles * LOOKUP_COST
-        if p2p:
-            cost += P2P_METADATA_COST
-        return cost
-
     def _trace_call(self, name: str, out: Completion) -> None:
         """Record an MPI-call span from now until ``out`` resolves (callers
         check ``engine.tracer.enabled`` first)."""
@@ -125,9 +235,14 @@ class ManaApi(MpiApi):
         span = tr.begin(name, cat=Category.MPI, rank=self.rank)
         out.on_done(lambda _v: tr.end(span))
 
-    def _after_overhead(self, cost: float, fn: Callable[..., None],
-                        *args: Any) -> None:
-        """Charge interposition cost *serially* on this rank's CPU.
+    def _after_overhead(self, fn: Callable[..., None], *args: Any,
+                        p2p: bool = False) -> None:
+        """Charge one interposed call *serially* on this rank's CPU, then
+        run ``fn(*args)``.
+
+        One interposed call = upper->lower->upper (two FS-register
+        switches) plus one virtual-handle lookup; a p2p call also records
+        its send/receive metadata.
 
         Back-to-back wrapper calls issued from one leaf (e.g. the sends and
         receives of an exchange) each occupy the CPU for their FS switches
@@ -136,10 +251,18 @@ class ManaApi(MpiApi):
         percentage overhead while batched transfers still overlap on the
         wire.
         """
-        engine = self.rt.engine
-        start = max(engine.now, self.rt.cpu_busy_until)
+        self._m_fs.inc(2)
+        self._m_lookups.inc()
+        rt = self.rt
+        cost = rt.proc.fs_transition_cost() + LOOKUP_COST
+        if p2p:
+            cost += P2P_METADATA_COST
+        engine = rt.engine
+        start = engine._now
+        if rt.cpu_busy_until > start:
+            start = rt.cpu_busy_until
         fire_at = start + cost
-        self.rt.cpu_busy_until = fire_at
+        rt.cpu_busy_until = fire_at
         engine._post(fire_at, fn, args, self._wrapper_label)
 
     # ------------------------------------------------------------------ p2p
@@ -158,8 +281,8 @@ class ManaApi(MpiApi):
         out = Completion(rt.engine, self._labels["send"])
         if rt.engine.tracer.enabled:
             self._trace_call("send", out)
-        self._after_overhead(self._overhead(p2p=True), self._issue_send,
-                             dest, data, tag, real, size, out)
+        self._after_overhead(self._issue_send, dest, data, tag, real, size,
+                             out, p2p=True)
         return out
 
     def _issue_send(self, dest: int, data: Any, tag: int, real: Communicator,
@@ -184,7 +307,7 @@ class ManaApi(MpiApi):
         if rt.engine.tracer.enabled:
             self._trace_call("recv", out)
         pend = rt.add_pending_recv(vcomm, src_world, tag, out)
-        self._after_overhead(self._overhead(p2p=True), rt.attempt_recv, pend)
+        self._after_overhead(rt.attempt_recv, pend, p2p=True)
         return out
 
     def sendrecv(self, dest: int, data: Any, source: int,
@@ -254,7 +377,7 @@ class ManaApi(MpiApi):
                 else real.world_of_rank(source)
             )
             attempt = self.rt.attach_irecv(rec)
-            self._after_overhead(self._overhead(p2p=True), attempt)
+            self._after_overhead(attempt, p2p=True)
         return rec.vreq
 
     def _wait_p2p(self, rec) -> Completion:
@@ -275,7 +398,7 @@ class ManaApi(MpiApi):
             else:  # restored-but-unwaited send records resolve to None
                 finish(rec.value)
 
-        self._after_overhead(self._overhead(), enter)
+        self._after_overhead(enter)
         return out
 
     def waitall(self, vreqs: list[int], comm: Optional[int] = None) -> Completion:
@@ -293,69 +416,22 @@ class ManaApi(MpiApi):
         label: str,
         vcomm: Optional[int],
         issue: Callable[[Communicator], Completion],
+        persist: Optional[tuple] = None,
     ) -> Completion:
         """The two-phase wrapper: trivial barrier, then the real call."""
         rt = self.rt
-        real = self._resolve_comm(vcomm)
-        rt.profile_op(label)
+        real = rt.table.resolve(
+            HandleKind.COMM, VCOMM_WORLD if vcomm is None else vcomm
+        )
+        if rt.profile is not None:
+            rt.profile_op(label)
         out = Completion(rt.engine, self._labels[label])
         if rt.engine.tracer.enabled:
             self._trace_call(label, out)
-
-        if not rt.two_phase_enabled:
-            # Ablation: bare interposition, no Algorithm-1 wrapper.
-            self._after_overhead(
-                self._overhead(), lambda: issue(real).on_done(out.resolve)
-            )
-            return out
-
-        def enter() -> None:
-            if not rt.protocol.may_enter_wrapper():
-                # Algorithm 2 line 28: hold before the collective call.
-                rt.hold_at_wrapper_entry(enter)
-                return
-            rt.protocol.phase = WrapperPhase.PHASE_1
-            rt.current_wrapper_comm = real
-            rt.stats.trivial_barriers += 1
-            barrier = rt.endpoint.barrier(real)
-            rt.current_trivial_barrier = barrier
-
-            def enter_phase2() -> None:
-                rt.protocol.phase = WrapperPhase.PHASE_2
-
-                def finished(value: Any) -> None:
-                    rt.current_wrapper_comm = None
-                    if rt.protocol.note_phase2_exit():
-                        rt.send_deferred_exit_reply()
-                    out.resolve(value)
-
-                issue(real).on_done(finished)
-
-            def committed(_value: Any) -> None:
-                # Barrier completion is the commit point: flow into phase 2
-                # even under a pending intent (see protocol.py docstring).
-                rt.current_trivial_barrier = None
-                if rt.protocol.replied_in_phase1 and \
-                        rt.protocol.mode is ProtocolMode.PRE_CKPT:
-                    # Synchronous revision rule (found by the model checker):
-                    # our in-phase-1 reply is stale; tell the coordinator
-                    # and park until it acknowledges, so no round can ever
-                    # complete against the stale reply.
-                    rt.protocol.replied_in_phase1 = False
-                    rt.protocol.pending_reply = True
-                    rt.protocol.phase = WrapperPhase.COMMIT_PENDING
-                    rt.await_revision_ack(enter_phase2)
-                else:
-                    # QUIESCED commits happen only after every image is on
-                    # disk (the barrier needs all members, and held members
-                    # are released by resume): the round is over, no
-                    # revision is owed.
-                    rt.protocol.replied_in_phase1 = False
-                    enter_phase2()
-
-            barrier.on_done(committed)
-
-        self._after_overhead(self._overhead(), enter)
+        call = _TwoPhaseCall(rt, real, issue, out, persist=persist)
+        self._after_overhead(
+            call.enter if rt.two_phase_enabled else call.issue_bare
+        )
         return out
 
     def barrier(self, comm: Optional[int] = None) -> Completion:
@@ -450,7 +526,7 @@ class ManaApi(MpiApi):
         self._resolve_comm(vcomm)  # validates (and charges a lookup)
         rec = rt.new_icoll(op, VCOMM_WORLD if vcomm is None else vcomm, args)
         out = Completion(rt.engine, self._labels["i" + op])
-        self._after_overhead(self._overhead(), lambda: out.resolve(rec.vreq))
+        self._after_overhead(lambda: out.resolve(rec.vreq))
         return out
 
     def iallreduce(self, data: Any, op: ReduceOp, comm: Optional[int] = None,
@@ -500,51 +576,10 @@ class ManaApi(MpiApi):
         out = Completion(rt.engine, self._labels["wait"])
         if rt.engine.tracer.enabled:
             self._trace_call("wait", out)
-        real = self._resolve_comm(rec.vcomm)
-
-        def enter() -> None:
-            if rec.done:
-                rt.defer_free("icoll", rec.vreq)
-                out.resolve(rec.value)
-                return
-            if not rt.protocol.may_enter_wrapper():
-                rt.hold_at_wrapper_entry(enter)
-                return
-            if not rec.posted:
-                rt._post_icoll_barrier(rec)
-            rt.protocol.phase = WrapperPhase.PHASE_1
-            rt.current_wrapper_comm = real
-            rt.current_trivial_barrier = rec.barrier
-
-            def enter_phase2() -> None:
-                rt.protocol.phase = WrapperPhase.PHASE_2
-
-                def finished(value: Any) -> None:
-                    rt.current_wrapper_comm = None
-                    if rt.protocol.note_phase2_exit():
-                        rt.send_deferred_exit_reply()
-                    rec.done = True
-                    rec.value = value
-                    rt.defer_free("icoll", rec.vreq)
-                    out.resolve(value)
-
-                self._issue_phase2(rec).on_done(finished)
-
-            def committed(_value: Any) -> None:
-                rt.current_trivial_barrier = None
-                if rt.protocol.replied_in_phase1 and \
-                        rt.protocol.mode is ProtocolMode.PRE_CKPT:
-                    rt.protocol.replied_in_phase1 = False
-                    rt.protocol.pending_reply = True
-                    rt.protocol.phase = WrapperPhase.COMMIT_PENDING
-                    rt.await_revision_ack(enter_phase2)
-                else:
-                    rt.protocol.replied_in_phase1 = False
-                    enter_phase2()
-
-            rec.barrier.on_done(committed)
-
-        self._after_overhead(self._overhead(), enter)
+        call = _TwoPhaseCall(rt, self._resolve_comm(rec.vcomm),
+                             lambda _c: self._issue_phase2(rec), out,
+                             icoll=rec)
+        self._after_overhead(call.enter)
         return out
 
     def test(self, vreq: int) -> Completion:
@@ -555,15 +590,13 @@ class ManaApi(MpiApi):
         p2p = rt.vrequests.get(vreq)
         if p2p is not None:
             out = Completion(rt.engine, self._labels["test"])
-            self._after_overhead(self._overhead(),
-                                 lambda: out.resolve(bool(p2p.done)))
+            self._after_overhead(lambda: out.resolve(bool(p2p.done)))
             return out
         rec = rt.icolls.get(vreq)
         if rec is None:
             raise VirtualizationError(f"unknown request handle {vreq}")
         out = Completion(rt.engine, self._labels["test"])
         self._after_overhead(
-            self._overhead(),
             lambda: out.resolve(
                 rec.done or (rec.posted and rec.barrier is not None
                              and rec.barrier.done)
@@ -578,37 +611,20 @@ class ManaApi(MpiApi):
         label: str,
         vparent: Optional[int],
         issue: Callable[[Communicator], Completion],
-        log_args: Callable[[int], tuple],
+        *log_args: Any,
     ) -> Completion:
         """A communicator-management collective: two-phase wrapped AND
-        recorded.  Resolves with the new *virtual* handle (or None)."""
-        rt = self.rt
+        recorded, with the parent's virtual handle and ``log_args`` as the
+        log entry's arguments.  Resolves with the new *virtual* handle (or
+        None)."""
         parent_vid = VCOMM_WORLD if vparent is None else vparent
-        out = Completion(rt.engine, self._labels[label])
-
-        def register(real_result: Any) -> None:
-            if real_result is None:
-                rt.log.record(label, log_args(parent_vid), None)
-                out.resolve(None)
-                return
-            vid = rt.register_comm(real_result)
-            # Record the result membership too: checkpoint-time compaction
-            # may only cancel a dead comm_split when its result covered the
-            # whole parent (docs/record_replay.md); replay itself never
-            # reads it.
-            rt.log.record(label, log_args(parent_vid), vid,
-                          group=tuple(real_result.group.world_ranks))
-            out.resolve(vid)
-
-        self._collective(label, vparent, issue).on_done(register)
-        return out
+        return self._collective(label, vparent, issue,
+                                persist=(label, (parent_vid, *log_args)))
 
     def comm_dup(self, comm: Optional[int] = None) -> Completion:
         """MPI_Comm_dup (collective)."""
         return self._persistent(
-            "comm_dup", comm,
-            lambda c: self.rt.endpoint.comm_dup(c),
-            lambda pv: (pv,),
+            "comm_dup", comm, lambda c: self.rt.endpoint.comm_dup(c),
         )
 
     def comm_split(self, color: int, key: int,
@@ -617,7 +633,7 @@ class ManaApi(MpiApi):
         return self._persistent(
             "comm_split", comm,
             lambda c: self.rt.endpoint.comm_split(color, key, c),
-            lambda pv: (pv, color, key),
+            color, key,
         )
 
     def comm_create(self, group, comm: Optional[int] = None) -> Completion:
@@ -627,7 +643,7 @@ class ManaApi(MpiApi):
         return self._persistent(
             "comm_create", comm,
             lambda c: self.rt.endpoint.comm_create(group, c),
-            lambda pv: (pv, tuple(group.world_ranks)),
+            tuple(group.world_ranks),
         )
 
     def cart_create(self, dims: list[int], periods: list[bool],
@@ -636,7 +652,7 @@ class ManaApi(MpiApi):
         return self._persistent(
             "cart_create", comm,
             lambda c: self.rt.endpoint.cart_create(dims, periods, c),
-            lambda pv: (pv, tuple(dims), tuple(bool(p) for p in periods)),
+            tuple(dims), tuple(bool(p) for p in periods),
         )
 
     def graph_create(self, edges: list, comm: Optional[int] = None) -> Completion:
@@ -644,13 +660,12 @@ class ManaApi(MpiApi):
         return self._persistent(
             "graph_create", comm,
             lambda c: self.rt.endpoint.graph_create(edges, c),
-            lambda pv: (pv, tuple(tuple(e) for e in edges)),
+            tuple(tuple(e) for e in edges),
         )
 
     def comm_free(self, vcomm: int) -> None:
         """Retire the virtual handle, release the real one, log the free."""
-        real = self.rt.table.resolve(HandleKind.COMM, vcomm)
-        self.rt.unregister_comm(vcomm)
+        real = self.rt.unregister_comm(vcomm)
         self.rt.endpoint.comm_free(real)
         self.rt.log.record("comm_free", (vcomm,), None)
 
@@ -690,7 +705,6 @@ class ManaApi(MpiApi):
         binding = self._resolve_file(vfile)
         out = Completion(self.rt.engine, self._labels["fwrite"])
         self._after_overhead(
-            self._overhead(),
             lambda: binding.real.write_at(offset, data, size=size)
                             .on_done(out.resolve),
         )
@@ -702,7 +716,6 @@ class ManaApi(MpiApi):
         binding = self._resolve_file(vfile)
         out = Completion(self.rt.engine, self._labels["fread"])
         self._after_overhead(
-            self._overhead(),
             lambda: binding.real.read_at(offset, length, size=size)
                             .on_done(out.resolve),
         )

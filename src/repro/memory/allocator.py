@@ -112,7 +112,10 @@ class UpperHeap:
 
     def restore_payload(self, payload: dict[str, Any]) -> None:
         """Install contents captured by :meth:`snapshot_payload`."""
-        self._objects = dict(payload["objects"])
+        # in place: the heap's regions hold this store as their payload
+        objects = dict(payload["objects"])
+        self._objects.clear()
+        self._objects.update(objects)
         self._sizes = dict(payload["sizes"])
         self._used = sum(self._sizes.values())
         self._reserve(0)  # grow capacity if the snapshot outgrew the base heap
@@ -120,7 +123,9 @@ class UpperHeap:
     # ------------------------------------------------------------ internals
 
     def _attach(self, region: MemoryRegion) -> None:
-        region.payload = self  # the heap is the region's live payload owner
+        # the object store is the region's live payload (not the heap
+        # itself: the heap holds the address space, which holds the region)
+        region.payload = self._objects
         self._regions.append(region)
         self._capacity += region.size
 

@@ -55,7 +55,7 @@ class Group:
 
     def incl(self, ranks: Sequence[int]) -> "Group":
         """MPI_Group_incl: subset in the given order."""
-        return Group(tuple(self.translate(r) for r in ranks))
+        return Group(tuple([self.translate(r) for r in ranks]))
 
     def excl(self, ranks: Sequence[int]) -> "Group":
         """MPI_Group_excl."""
@@ -96,10 +96,10 @@ class Communicator:
     @property
     def size(self) -> int:
         """Number of members."""
-        return self.group.size
+        return len(self.group.world_ranks)
 
-    # The three lookups below run on every point-to-point call, so they read
-    # the group's rank tuple directly instead of going through ``size``.
+    # ``size`` and the three lookups below run on every point-to-point or
+    # collective call, so they read the group's rank tuple directly.
 
     def rank_of_world(self, world_rank: int) -> Optional[int]:
         """World rank -> communicator rank (None for non-members)."""

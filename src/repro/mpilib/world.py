@@ -16,6 +16,7 @@ that resolves at the operation's modeled completion time.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -112,19 +113,19 @@ class _PendingRendezvous:
 class _CollectiveContext:
     """One matched collective operation on one communicator."""
 
+    __slots__ = ("op", "expected", "waiting", "root", "reduce_op",
+                 "arrivals", "completions", "max_size")
+
     def __init__(self, op: str, expected: int) -> None:
         self.op = op
         self.expected = expected
+        #: members that have not arrived yet
+        self.waiting = expected
         self.root: Optional[int] = None
         self.reduce_op: Optional[ReduceOp] = None
         self.arrivals: dict[int, Any] = {}           # comm rank -> contribution
         self.completions: dict[int, Completion] = {}
         self.max_size = 0
-        self.extra: dict[int, Any] = {}               # per-rank extra args
-
-    @property
-    def complete(self) -> bool:
-        return len(self.arrivals) == self.expected
 
 
 class HandleLedger:
@@ -196,6 +197,9 @@ class MpiWorld:
         self.p2p_bytes = 0
         #: live real-handle accounting (the library's internal object table)
         self.ledger = HandleLedger()
+        #: per (collective op, communicator size): its ops, bytes and rounds
+        #: counters and its round count, memoized
+        self._coll_counters: dict[tuple[str, int], tuple] = {}
 
         world_group = Group(tuple(range(self.size)))
         world_ctx = next(self._context_ids)
@@ -206,6 +210,12 @@ class MpiWorld:
             ))
             for rank in range(self.size)
         ]
+
+    def unlink(self) -> None:
+        """Break the endpoints' back-references to this world, so a world
+        whose job is done is freed by reference counting."""
+        for endpoint in self.endpoints:
+            endpoint.world = None
 
     # ------------------------------------------------------------- helpers
 
@@ -222,8 +232,14 @@ class MpiWorld:
 
     def transport_for_group(self, group: Group) -> Interconnect:
         """Shared memory if the group is single-node, else the fabric."""
-        nodes = {self.node_of(w) for w in group.world_ranks}
-        return self.shmem if len(nodes) <= 1 else self.fabric
+        placement = self.placement
+        ranks = group.world_ranks
+        if ranks:
+            node = placement[ranks[0]]
+            for w in ranks:
+                if placement[w] != node:
+                    return self.fabric
+        return self.shmem
 
     def new_context_id(self) -> int:
         """Mint a fresh communicator context id."""
@@ -325,24 +341,31 @@ class MpiWorld:
         size: int,
         root: Optional[int] = None,
         reduce_op: Optional[ReduceOp] = None,
-        extra: Any = None,
     ) -> Completion:
         """A rank enters a collective; resolves when the matched op finishes."""
-        comm_rank = comm.rank_of_world(endpoint.rank)
-        if comm_rank is None:
+        rank = endpoint.rank
+        ranks = comm.group.world_ranks
+        try:
+            comm_rank = ranks.index(rank)
+        except ValueError:
             raise MpiError(
-                f"rank {endpoint.rank} called {op} on communicator "
+                f"rank {rank} called {op} on communicator "
                 f"{comm.name!r} it does not belong to"
-            )
-        seq = endpoint.bump_coll_seq(comm.context_id)
-        key = (comm.context_id, seq)
-        ctx = self._colls.get(key)
-        if ctx is None:
-            ctx = _CollectiveContext(op, expected=comm.size)
-            self._colls[key] = ctx
+            ) from None
+        # advance this rank's collective sequence on the context
+        context_id = comm.context_id
+        seqs = endpoint._coll_seq
+        seq = seqs[context_id]
+        seqs[context_id] = seq + 1
+        key = (context_id, seq)
+        colls = self._colls
+        if key in colls:
+            ctx = colls[key]
+        else:
+            ctx = colls[key] = _CollectiveContext(op, len(ranks))
         if ctx.op != op:
             raise MpiError(
-                f"collective mismatch on {comm.name!r}: rank {endpoint.rank} "
+                f"collective mismatch on {comm.name!r}: rank {rank} "
                 f"called {op} but the matched operation is {ctx.op}"
             )
         if root is not None:
@@ -357,32 +380,42 @@ class MpiWorld:
                 ctx.reduce_op = reduce_op
             elif ctx.reduce_op.name != reduce_op.name:
                 raise MpiError(f"{op} reduce-op mismatch on {comm.name!r}")
-        if comm_rank in ctx.arrivals:
-            raise MpiError(f"rank {endpoint.rank} entered {op} twice (seq {seq})")
-        ctx.arrivals[comm_rank] = contribution
-        if extra is not None:
-            ctx.extra[comm_rank] = extra
-        ctx.max_size = max(ctx.max_size, size)
-        done = Completion(self.engine, label=f"{op}@{comm.name}#{seq}r{comm_rank}")
+        arrivals = ctx.arrivals
+        if comm_rank in arrivals:
+            raise MpiError(f"rank {rank} entered {op} twice (seq {seq})")
+        arrivals[comm_rank] = contribution
+        if size > ctx.max_size:
+            ctx.max_size = size
+        done = Completion(self.engine, f"{op}@{comm.name}#{seq}r{comm_rank}")
         ctx.completions[comm_rank] = done
-        if ctx.complete:
+        ctx.waiting -= 1
+        if ctx.waiting == 0:
             self._finish_collective(comm, ctx, key)
         return done
 
     def _finish_collective(
         self, comm: Communicator, ctx: _CollectiveContext, key: tuple[int, int]
     ) -> None:
-        net = self.transport_for_group(comm.group)
+        op = ctx.op
+        p = ctx.expected
         duration = coll_models.collective_duration(
-            ctx.op, ctx.max_size, comm.size, net, self.impl
+            op, ctx.max_size, p, self.transport_for_group(comm.group),
+            self.impl,
         )
-        m = self.engine.metrics
-        m.counter("mpi.coll.ops", op=ctx.op).inc()
-        m.counter("mpi.coll.bytes", op=ctx.op).inc(ctx.max_size)
-        m.counter("mpi.coll.rounds", op=ctx.op).inc(
-            coll_models.collective_rounds(ctx.op, comm.size)
-        )
-        results = _collective_results(ctx, comm)
+        memo = self._coll_counters.get((op, p))
+        if memo is None:
+            m = self.engine.metrics
+            memo = self._coll_counters[(op, p)] = (
+                m.counter("mpi.coll.ops", op=op),
+                m.counter("mpi.coll.bytes", op=op),
+                m.counter("mpi.coll.rounds", op=op),
+                coll_models.collective_rounds(op, p),
+            )
+        ops, nbytes, rounds, n_rounds = memo
+        ops.inc()
+        nbytes.inc(ctx.max_size)
+        rounds.inc(n_rounds)
+        results = _collective_results(ctx)
         del self._colls[key]
         for comm_rank, completion in ctx.completions.items():
             completion.resolve_after(duration, results[comm_rank])
@@ -400,7 +433,7 @@ def _copy(value: Any) -> Any:
     return value
 
 
-def _collective_results(ctx: _CollectiveContext, comm: Communicator) -> dict[int, Any]:
+def _collective_results(ctx: _CollectiveContext) -> dict[int, Any]:
     """Compute each comm rank's result for a completed collective."""
     p = ctx.expected
     arrivals = ctx.arrivals
@@ -420,8 +453,13 @@ def _collective_results(ctx: _CollectiveContext, comm: Communicator) -> dict[int
         gathered = [_copy(arrivals[r]) for r in range(p)]
         return {r: (gathered if r == ctx.root else None) for r in range(p)}
     if op == "allgather":
-        gathered = [_copy(arrivals[r]) for r in range(p)]
-        return {r: [_copy(v) for v in gathered] for r in range(p)}
+        gathered = [arrivals[r] for r in range(p)]
+        for value in gathered:
+            if isinstance(value, np.ndarray):
+                gathered = [_copy(v) for v in gathered]
+                return {r: [_copy(v) for v in gathered] for r in range(p)}
+        # nothing to copy: each rank gets its own list of the same values
+        return {r: gathered[:] for r in range(p)}
     if op == "scatter":
         chunks = arrivals[ctx.root]
         if chunks is None or len(chunks) != p:
@@ -464,7 +502,8 @@ class MpiEndpoint:
         self._posted: list[_PostedRecv] = []
         self._unexpected: list[MsgRecord] = []
         self._pending_rts: list[_PendingRendezvous] = []
-        self._coll_seq: dict[int, int] = {}
+        #: this rank's collective sequence number per context id
+        self._coll_seq: defaultdict[int, int] = defaultdict(int)
         #: rendezvous sends awaiting the receiver's clear-to-send, by send id
         self._rendezvous_out: dict[int, tuple] = {}
         #: When set, *all* newly arriving messages are handed to this sink
@@ -481,12 +520,6 @@ class MpiEndpoint:
         self._m_recv_bytes = metrics.counter("mpi.p2p.recv_bytes", rank=rank)
 
     # ---------------------------------------------------------- accounting
-
-    def bump_coll_seq(self, context_id: int) -> int:
-        """Advance this rank's collective sequence on a context."""
-        seq = self._coll_seq.get(context_id, 0)
-        self._coll_seq[context_id] = seq + 1
-        return seq
 
     def _entry_cost(self, extra_cpu: float, payload_bytes: int = 0) -> float:
         """CPU time consumed inside the library before anything moves."""
@@ -897,10 +930,11 @@ class MpiEndpoint:
                                              comm.size, mint=False)
                 out.resolve(None)
                 return
-            members = sorted(
-                (k, w) for (c, k, w) in values if c == my_color
-            )
-            group = Group(tuple(w for _k, w in members))
+            # MPI-3.1 §6.4.2: ordered by key, ties by rank in the parent
+            # (``values`` is in parent-rank order)
+            members = sorted([(k, r, w) for r, (c, k, w) in enumerate(values)
+                              if c == my_color])
+            group = Group(tuple([w for _k, _r, w in members]))
             ctx = self.world.shared_context_id("split", comm.context_id, comm.size, my_color)
             out.resolve(Communicator(
                 handle=self.world.new_comm_handle(), context_id=ctx,

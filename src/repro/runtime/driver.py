@@ -184,6 +184,8 @@ class RankDriver:
                     acc_cost, self._maybe_issue, action,
                     label=f"{self.label}:pre-call"
                 )
+            elif self.call_gate is None:
+                self._issue(action)  # not dead, not quiesced: checked above
             else:
                 self._maybe_issue(action)
             return

@@ -162,6 +162,13 @@ class Engine:
         return self.call_at(self._now + delay, fn, *args, priority=priority,
                             label=label)
 
+    def discard_pending(self) -> None:
+        """Cancel every queued event at once (their owner is gone)."""
+        for entry in self._queue:
+            entry[_PAYLOAD] = None
+        self._queue.clear()
+        self._live = 0
+
     # ------------------------------------------------------------- execution
 
     def step(self) -> bool:

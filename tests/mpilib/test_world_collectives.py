@@ -225,6 +225,17 @@ class TestCommManagement:
         engine.run()
         assert dones[0].value.group.world_ranks == (3, 2, 1, 0)
 
+    def test_comm_split_ties_keep_parent_order(self):
+        """MPI-3.1 §6.4.2: ranks with equal keys keep their order in the
+        parent communicator, not their world order."""
+        engine, world = make_world()
+        reversed_ = run_collective(engine, world, lambda ep: ep.comm_split(
+            color=0, key=-ep.rank))
+        assert reversed_[0].group.world_ranks == (3, 2, 1, 0)
+        again = run_collective(engine, world, lambda ep: ep.comm_split(
+            color=0, key=0, comm=reversed_[ep.rank]))
+        assert [c.group.world_ranks for c in again] == [(3, 2, 1, 0)] * 4
+
     def test_comm_split_undefined_color(self):
         engine, world = make_world()
         dones = [ep.comm_split(color=(-1 if ep.rank == 3 else 0), key=0)
