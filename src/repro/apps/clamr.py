@@ -25,6 +25,7 @@ from repro.apps.base import (
     halo_exchange_seq,
     init_common_state,
     register_app,
+    roll,
     steps_program,
 )
 from repro.mpilib.ops import MIN
@@ -64,8 +65,9 @@ def _hydro_cost(state) -> float:
 
 def _hydro_kernel(state) -> None:
     h = state["h"]
-    state["h"] = h + 0.01 * (np.roll(h, 1) - 2 * h + np.roll(h, -1)) \
-        + 1e-4 * state["halo_in"].mean()
+    halo_in = state["halo_in"]
+    state["h"] = h + 0.01 * (roll(h, 1) - 2 * h + roll(h, -1)) \
+        + 1e-4 * (halo_in.sum() / halo_in.size)
     state["local_dt"] = float(0.1 / (np.abs(h).max() + 1.0))
 
 
@@ -90,7 +92,7 @@ def _redistribute(state, api):
 
 def _apply_regrid(state) -> None:
     counts = np.array([float(c[0]) for c in state["counts"]])
-    mean = counts.mean()
+    mean = counts.sum() / counts.size
     state["cells"] = int(mean)  # perfectly rebalanced
     state["checksum"] += round(float(mean), 6)
 

@@ -69,7 +69,8 @@ def _force_kernel(state) -> None:
     # Deterministic toy dynamics over the small real state.
     v = state["velocities"]
     v *= 0.999
-    v += 0.001 * np.sin(v) + 1e-4 * state["halo_in"].mean()
+    halo_in = state["halo_in"]
+    v += 0.001 * np.sin(v) + 1e-4 * (halo_in.sum() / halo_in.size)
     state["local_energy"] = float(np.dot(v, v))
 
 

@@ -22,6 +22,7 @@ from repro.apps.base import (
     halo_exchange_seq,
     init_common_state,
     register_app,
+    roll,
     steps_program,
 )
 from repro.mpilib.ops import SUM
@@ -48,9 +49,10 @@ def _init(state) -> None:
 
 def _spmv27(state) -> None:
     z = state["z"]
+    halo_in = state["halo_in"]
     state["az"] = (
-        26.0 * z - 13.0 * np.roll(z, 1) - 13.0 * np.roll(z, -1)
-    ) / 26.0 + 1e-3 * state["halo_in"].mean()
+        26.0 * z - 13.0 * roll(z, 1) - 13.0 * roll(z, -1)
+    ) / 26.0 + 1e-3 * (halo_in.sum() / halo_in.size)
 
 
 def _mg_smooth(state) -> None:

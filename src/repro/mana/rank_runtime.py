@@ -16,6 +16,7 @@ One :class:`ManaRankRuntime` exists per MPI rank.  It owns the rank's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.mana.checkpoint_image import CheckpointImage
@@ -374,19 +375,19 @@ class ManaRankRuntime:
             count, total = self.profile.get(op, (0, 0))
             self.profile[op] = (count + 1, total + nbytes)
 
-    def guarded_send(self, post_fn: Callable[[], Any]) -> None:
+    def guarded_send(self, post_fn: Callable[..., Any], *args: Any) -> None:
         """Perform a send inside a multi-op call leaf exactly once per
-        dynamic leaf instance, across restarts.  ``post_fn`` is invoked only
-        if this position's send has not already happened."""
+        dynamic leaf instance, across restarts.  ``post_fn(*args)`` is
+        invoked only if this position's send has not already happened."""
         key = self.driver.current_call_key()
         if key is None:
-            post_fn()
+            post_fn(*args)
             return
         pos = self._send_seq.get(key, 0)
         self._send_seq[key] = pos + 1
         if pos < self.sends_done.get(key, 0):
             return  # already sent before the checkpoint; do not duplicate
-        post_fn()
+        post_fn(*args)
         self.sends_done[key] = pos + 1
 
     def _on_leaf_done(self, key: tuple) -> None:
@@ -551,9 +552,7 @@ class ManaRankRuntime:
         )
         req = self.endpoint.irecv(source=source, tag=pend.tag, comm=real)
         pend.req = req
-        req.completion.on_done(
-            lambda value: self._lower_recv_done(pend, value)
-        )
+        req.completion.on_done(partial(self._lower_recv_done, pend))
 
     def _lower_recv_done(self, pend: PendingRecv, value: Any) -> None:
         if not pend.active:

@@ -317,9 +317,7 @@ class ManaApi(MpiApi):
         happen exactly once per dynamic call-leaf instance, so a restart
         that re-executes the leaf (after the original send was drained into
         the peer's buffer) does not duplicate the message."""
-        self.rt.guarded_send(
-            lambda: self.send(dest, data, tag=tag, comm=comm, size=size)
-        )
+        self.rt.guarded_send(self.send, dest, data, tag, comm, size)
         return self.recv(source=source, tag=tag, comm=comm)
 
     def exchange(self, sends: list, recvs: list,
@@ -335,11 +333,9 @@ class ManaApi(MpiApi):
         """
         from repro.simtime.engine import all_of
 
+        guarded_send = self.rt.guarded_send
         for dest, data, tag, size in sends:
-            self.rt.guarded_send(
-                lambda d=dest, x=data, t=tag, z=size:
-                    self.send(d, x, tag=t, comm=comm, size=z)
-            )
+            guarded_send(self.send, dest, data, tag, comm, size)
         outs = [self.recv(source=src, tag=tag, comm=comm)
                 for src, tag in recvs]
         return all_of(self.rt.engine, outs, label=self._labels["exchange"])

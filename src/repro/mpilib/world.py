@@ -87,7 +87,8 @@ class _PostedRecv:
     completion: Completion
     cancelled: bool = False
 
-    def matches(self, msg: MsgRecord) -> bool:
+    def matches(self, msg: MsgRecord | _Rendezvous) -> bool:
+        """Whether an arrival's envelope (context, source, tag) matches."""
         return (
             self.context_id == msg.context_id
             and (self.src == ANY_SOURCE or self.src == msg.src)
@@ -102,12 +103,50 @@ class _PostedRecv:
         return Status(source, msg.tag, msg.size)
 
 
-@dataclass
-class _PendingRendezvous:
-    """Receiver-side record of an RTS whose data has not been pulled yet."""
+class _Rendezvous:
+    """One large message's rendezvous transfer, from request-to-send to the
+    payload's arrival.
 
-    record: MsgRecord              # data=None until the payload arrives
-    send_id: int
+    It travels as the RTS's argument, waits in the receiver's queue while
+    no receive matches, and its bound methods are the clear-to-send and
+    data deliveries.  It carries the data record's envelope, which is what
+    matching reads.  It holds no endpoint or world: those travel as the
+    deliveries' arguments, so parking it adds no reference back to the
+    receiver.
+    """
+
+    __slots__ = ("record", "context_id", "src", "tag", "send_done", "cpu",
+                 "posted")
+
+    def __init__(self, record: MsgRecord, send_done: Completion,
+                 cpu: float) -> None:
+        self.record = record
+        self.context_id = record.context_id
+        self.src = record.src
+        self.tag = record.tag
+        self.send_done = send_done
+        #: sender CPU time, charged once the payload is on its way
+        self.cpu = cpu
+        #: the receive it was accepted for; None when drained
+        self.posted: Optional[_PostedRecv] = None
+
+    def on_cts(self, world: "MpiWorld") -> None:
+        """The receiver cleared the send: stream the payload."""
+        record = self.record
+        world.wire_send(record.src, record.dst, record.size, self.on_data,
+                        world.endpoints[record.dst])
+        self.send_done.resolve_after(self.cpu)
+
+    def on_data(self, receiver: "MpiEndpoint") -> None:
+        """The payload reached the receiver's NIC."""
+        posted = self.posted
+        record = self.record
+        if posted is None or posted.cancelled or receiver.drain_sink is not None:
+            # Drain mode (or the recv went away): sink or queue it.
+            receiver._on_data_arrival(record)
+        else:
+            receiver._count_delivery(record)
+            posted.completion.resolve((record.data, posted.status(record)))
 
 
 class _CollectiveContext:
@@ -294,10 +333,8 @@ class MpiWorld:
 
     # -------------------------------------------------------- wire helpers
 
-    def wire_send(
-        self, src: int, dst: int, size: int, payload: Any, meta: dict,
-        on_arrival: Callable[[Any], None], arg: Any,
-    ) -> None:
+    def wire_send(self, src: int, dst: int, size: int,
+                  on_arrival: Callable[[Any], None], arg: Any) -> None:
         """FIFO-ordered transfer between two world ranks; ``on_arrival(arg)``
         runs when it arrives.
 
@@ -306,15 +343,14 @@ class MpiWorld:
         occupancy.  This models a point-to-point link as a shared serial
         resource (what makes flooding benchmarks saturate at β).
         """
-        src_node = self.placement[src]
-        dst_node = self.placement[dst]
-        transport = self.shmem if src_node == dst_node else self.fabric
+        placement = self.placement
+        transport = (self.shmem if placement[src] == placement[dst]
+                     else self.fabric)
         chan = (src, dst)
-        nb = self._channel_last_arrival.get(chan, 0.0) \
-            + size / transport.beta + _FIFO_EPS
-        transport._send(src_node, dst_node, size, payload, meta, nb,
-                        on_arrival, arg)
-        self._channel_last_arrival[chan] = meta["arrival"]
+        last = self._channel_last_arrival
+        last[chan] = transport._send(
+            size, last.get(chan, 0.0) + size / transport.beta + _FIFO_EPS,
+            on_arrival, arg)
 
     def next_channel_seq(self, src: int, dst: int) -> int:
         """Next per-(src,dst) message sequence number."""
@@ -500,12 +536,11 @@ class MpiEndpoint:
         self._recv_label = f"recv@{rank}"
         self._send_labels: dict[int, str] = {}
         self._posted: list[_PostedRecv] = []
-        self._unexpected: list[MsgRecord] = []
-        self._pending_rts: list[_PendingRendezvous] = []
+        #: arrived and unmatched, in arrival order: eager payloads and the
+        #: rendezvous transfers whose RTS no receive has matched yet
+        self._unexpected: list[MsgRecord | _Rendezvous] = []
         #: this rank's collective sequence number per context id
         self._coll_seq: defaultdict[int, int] = defaultdict(int)
-        #: rendezvous sends awaiting the receiver's clear-to-send, by send id
-        self._rendezvous_out: dict[int, tuple] = {}
         #: When set, *all* newly arriving messages are handed to this sink
         #: instead of the matching layer (MANA's drain mode).
         self.drain_sink: Optional[Callable[[MsgRecord], None]] = None
@@ -583,21 +618,16 @@ class MpiEndpoint:
         cpu = self._entry_cost(extra_cpu, wire) + \
             world.transport_between(rank, dst_world).per_message_cpu
 
+        receiver = world.endpoints[dst_world]
         if wire <= self.impl.eager_threshold:
             # Eager: inject at once; local completion after CPU cost.
-            world.wire_send(rank, dst_world, wire, record, {"kind": "eager"},
-                            world.endpoints[dst_world]._on_data_arrival, record)
+            world.wire_send(rank, dst_world, wire, receiver._on_data_arrival,
+                            record)
             done.resolve_after(cpu)
         else:
             # Rendezvous: RTS now; data flows once the receiver clears it.
-            send_id = world.new_request_handle()
-            rts = MsgRecord(rank, dst_world, comm.context_id, tag, None, wire,
-                            seq)
-            self._rendezvous_out[send_id] = (record, done, cpu)
-            receiver = world.endpoints[dst_world]
-            world.wire_send(rank, dst_world, 0, rts,
-                            {"kind": "rts", "send_id": send_id},
-                            lambda _rts: receiver._on_rts(rts, send_id), None)
+            world.wire_send(rank, dst_world, 0, receiver._on_rts,
+                            _Rendezvous(record, done, cpu))
         return handle, done
 
     def irecv(
@@ -637,20 +667,19 @@ class MpiEndpoint:
         posted = _PostedRecv(comm, comm.context_id, source, src_world, tag,
                              Completion(self.engine, self._recv_label))
         handle = self.world.new_request_handle()
-        # Check the unexpected queue first (in arrival order).
-        for i, msg in enumerate(self._unexpected):
+        # The earliest arrival that matches wins (MPI's non-overtaking
+        # rule), whether its payload is here or still behind an RTS.
+        unexpected = self._unexpected
+        for i, msg in enumerate(unexpected):
             if posted.matches(msg):
-                del self._unexpected[i]
-                posted.completion.resolve_after(
-                    self._entry_cost(extra_cpu, msg.size),
-                    (msg.data, posted.status(msg)),
-                )
-                return handle, posted
-        # Check pending rendezvous RTS records.
-        for i, pend in enumerate(self._pending_rts):
-            if posted.matches(pend.record):
-                del self._pending_rts[i]
-                self._accept_rendezvous(pend, posted)
+                del unexpected[i]
+                if type(msg) is _Rendezvous:
+                    self._accept_rendezvous(msg, posted)
+                else:
+                    posted.completion.resolve_after(
+                        self._entry_cost(extra_cpu, msg.size),
+                        (msg.data, posted.status(msg)),
+                    )
                 return handle, posted
         self._posted.append(posted)
         return handle, posted
@@ -687,52 +716,24 @@ class MpiEndpoint:
                 return
         self._unexpected.append(record)
 
-    def _on_rts(self, rts: MsgRecord, send_id: int) -> None:
+    def _on_rts(self, rv: _Rendezvous) -> None:
         """A rendezvous request-to-send arrived."""
-        pend = _PendingRendezvous(record=rts, send_id=send_id)
         if self.drain_sink is not None:
-            self._accept_rendezvous(pend, posted=None)
+            self._accept_rendezvous(rv, None)
             return
         for i, posted in enumerate(self._posted):
-            if posted.matches(rts):
+            if posted.matches(rv):
                 del self._posted[i]
-                self._accept_rendezvous(pend, posted)
+                self._accept_rendezvous(rv, posted)
                 return
-        self._pending_rts.append(pend)
+        self._unexpected.append(rv)
 
-    def _accept_rendezvous(
-        self, pend: _PendingRendezvous, posted: Optional[_PostedRecv]
-    ) -> None:
+    def _accept_rendezvous(self, rv: _Rendezvous,
+                           posted: Optional[_PostedRecv]) -> None:
         """Send CTS back; the sender then streams the payload."""
-        sender = self.world.endpoints[pend.record.src]
-
-        def on_cts(_msg: Any) -> None:
-            record, send_done, cpu = sender._rendezvous_out.pop(pend.send_id)
-
-            def on_data(_m: Any) -> None:
-                if posted is None or posted.cancelled or self.drain_sink is not None:
-                    # Drain mode (or the recv went away): sink or queue it.
-                    if self.drain_sink is not None:
-                        self._count_delivery(record)
-                        self.drain_sink(record)
-                    else:
-                        self._on_data_arrival(record)
-                else:
-                    self._count_delivery(record)
-                    posted.completion.resolve(
-                        (record.data, posted.status(record))
-                    )
-
-            self.world.wire_send(
-                record.src, record.dst, record.size, record,
-                {"kind": "data", "send_id": pend.send_id}, on_data, None,
-            )
-            send_done.resolve_after(cpu)
-
-        self.world.wire_send(
-            self.rank, pend.record.src, 0, None,
-            {"kind": "cts", "send_id": pend.send_id}, on_cts, None,
-        )
+        rv.posted = posted
+        world = self.world
+        world.wire_send(self.rank, rv.src, 0, rv.on_cts, world)
 
     # ---------------------------------------------------------- drain API
 
@@ -740,16 +741,19 @@ class MpiEndpoint:
         """Pull everything out of the lower half's unexpected queue and
         auto-accept any pending rendezvous RTS (their data will flow to the
         drain sink).  Called by MANA at the start of draining."""
-        out, self._unexpected = self._unexpected, []
-        pending, self._pending_rts = self._pending_rts, []
-        for pend in pending:
-            self._accept_rendezvous(pend, posted=None)
+        queue, self._unexpected = self._unexpected, []
+        out = []
+        for msg in queue:
+            if type(msg) is _Rendezvous:
+                self._accept_rendezvous(msg, None)
+            else:
+                out.append(msg)
         return out
 
     @property
     def unexpected_count(self) -> int:
         """Messages delivered but not yet matched (incl. parked RTS)."""
-        return len(self._unexpected) + len(self._pending_rts)
+        return len(self._unexpected)
 
     @property
     def posted_recv_count(self) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -39,8 +38,8 @@ class Interconnect:
     """Base class for simulated fabrics.
 
     Subclasses define the α/β timing constants and the driver memory
-    footprint; this base implements timed, order-preserving delivery with an
-    in-flight registry used by the drain invariant.
+    footprint; this base implements timed, order-preserving delivery and
+    counts what is in flight for the drain invariant.
     """
 
     #: Registry name ("aries", "infiniband", "tcp").
@@ -54,9 +53,11 @@ class Interconnect:
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._ids = itertools.count(1)
-        self._in_flight: dict[int, Message] = {}
-        #: cumulative statistics for experiment reporting
+        #: messages and bytes currently on the wire (drain invariant)
+        self.in_flight_count = 0
+        self.in_flight_bytes = 0
+        #: cumulative statistics for experiment reporting; ``messages_sent``
+        #: also numbers the messages (the n-th one sent is message n)
         self.messages_sent = 0
         self.bytes_sent = 0
         #: nominal (α, β) saved while a transient degradation is active
@@ -112,45 +113,35 @@ class Interconnect:
         even when a small message is injected behind a large one.
         """
         done = Completion(self.engine)
-        msg = self._send(src_node, dst_node, size, payload, dict(meta or {}),
-                         not_before, done.resolve, None)
+        msg = Message(self.messages_sent + 1, src_node, dst_node, size,
+                      payload, dict(meta or {}))
+        msg.meta["arrival"] = self._send(size, not_before, done.resolve, msg)
         done.label = f"{self.name}:msg{msg.msg_id}"
         return msg, done
 
-    def _send(self, src_node: int, dst_node: int, size: int, payload: Any,
-              meta: dict, not_before: float, fn: Callable[[Any], None],
-              arg: Any) -> Message:
-        """:meth:`transmit` without a Completion: ``fn(arg)`` runs on
-        arrival (``fn(message)`` when ``arg`` is None).  ``meta`` is owned
-        by the message from here on; its ``"arrival"`` key is set."""
-        msg_id = next(self._ids)
-        msg = Message(msg_id, src_node, dst_node, size, payload, meta)
-        self._in_flight[msg_id] = msg
-        self.messages_sent += 1
+    def _send(self, size: int, not_before: float, fn: Callable[[Any], None],
+              arg: Any) -> float:
+        """:meth:`transmit` without a Message or a Completion: ``fn(arg)``
+        runs on arrival.  Returns the arrival time."""
+        msg_id = self.messages_sent + 1
+        self.messages_sent = msg_id
         self.bytes_sent += size
+        self.in_flight_count += 1
+        self.in_flight_bytes += size
         engine = self.engine
-        arrival = max(engine.now + self.transfer_time(size), not_before)
-        meta["arrival"] = arrival
-        engine._post(arrival, self._deliver,
-                     (msg_id, fn, msg if arg is None else arg),
+        # grouped as transfer_time() groups it: now + alpha + size / beta
+        # rounds differently and moves every later event
+        arrival = engine._now + (self.alpha + size / self.beta)
+        if arrival < not_before:
+            arrival = not_before
+        engine._post(arrival, self._deliver, (size, fn, arg),
                      f"{self.name}:deliver{msg_id}")
-        return msg
+        return arrival
 
-    def _deliver(self, msg_id: int, fn: Callable[[Any], None], arg: Any) -> None:
-        del self._in_flight[msg_id]
+    def _deliver(self, size: int, fn: Callable[[Any], None], arg: Any) -> None:
+        self.in_flight_count -= 1
+        self.in_flight_bytes -= size
         fn(arg)
-
-    # ------------------------------------------------------------ draining
-
-    @property
-    def in_flight_count(self) -> int:
-        """Number of messages currently on the wire (drain invariant)."""
-        return len(self._in_flight)
-
-    @property
-    def in_flight_bytes(self) -> int:
-        """Bytes currently on the wire."""
-        return sum(m.size for m in self._in_flight.values())
 
     # --------------------------------------------------------- lower half
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -366,25 +367,32 @@ class Completion:
             self._callbacks.append(cb)
 
 
+class _AllOf:
+    """The countdown behind :func:`all_of`: input ``i`` reports through
+    ``partial(arrive, i)``.  It holds only the output and the values, never
+    the inputs, so a pending countdown makes no reference cycle."""
+
+    __slots__ = ("out", "values", "remaining")
+
+    def __init__(self, out: Completion, n: int) -> None:
+        self.out = out
+        self.values: list[Any] = [None] * n
+        self.remaining = n
+
+    def arrive(self, i: int, value: Any) -> None:
+        self.values[i] = value
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.out.resolve(self.values)
+
+
 def all_of(engine: Engine, completions: list[Completion], label: str = "all") -> Completion:
     """Completion that resolves (with the list of values) when all inputs do."""
     out = Completion(engine, label=label)
-    remaining = len(completions)
-    if remaining == 0:
+    if not completions:
         out.resolve([])
         return out
-    values: list[Any] = [None] * remaining
-
-    def make_cb(i: int) -> Callable[[Any], None]:
-        def cb(value: Any) -> None:
-            nonlocal remaining
-            values[i] = value
-            remaining -= 1
-            if remaining == 0:
-                out.resolve(values)
-
-        return cb
-
+    arrive = _AllOf(out, len(completions)).arrive
     for i, c in enumerate(completions):
-        c.on_done(make_cb(i))
+        c.on_done(partial(arrive, i))
     return out

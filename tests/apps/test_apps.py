@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY, get_app
+from repro.apps.base import roll
 from repro.apps.lulesh import cube_ranks
 from repro.hardware.cluster import cori, make_cluster
 from repro.mana import launch_mana, restart
@@ -76,6 +77,16 @@ def test_app_checkpoint_restart_exact(name):
     job2.run_to_completion()
     for s2, sb in zip(job2.states, baseline.states):
         assert s2["checksum"] == sb["checksum"]
+
+
+@pytest.mark.parametrize("n", [1, 8, 32, 64])
+@pytest.mark.parametrize("shift", [-3, -1, 0, 1, 2, 65])
+def test_roll_is_np_roll(n, shift):
+    v = np.random.default_rng(n).random(n)
+    got = roll(v, shift)
+    assert np.array_equal(got, np.roll(v, shift))
+    got[:] = -1  # a new array, like np.roll's
+    assert (v >= 0).all()
 
 
 class TestCubeRanks:

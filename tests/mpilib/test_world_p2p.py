@@ -213,6 +213,26 @@ def test_in_flight_tracking_drains_to_zero():
     assert world.in_flight_p2p == 0
 
 
+def test_rendezvous_message_not_overtaken_by_later_eager_one():
+    """MPI-3.1 §3.5: two messages from one sender that match one receive
+    are received in the order sent, even when the first one is still
+    waiting behind its request-to-send."""
+    engine, world = make_world(mpi="mpich", interconnect="tcp")
+    big = np.zeros(1 << 20, dtype=np.uint8)
+    small = np.ones(1, dtype=np.float64)
+    world.endpoints[0].send(1, big, tag=5)
+    world.endpoints[0].send(1, small, tag=5)
+    engine.run()
+    assert world.endpoints[1].unexpected_count == 2
+    first = world.endpoints[1].recv(source=0, tag=5)
+    second = world.endpoints[1].recv(source=0, tag=5)
+    engine.run()
+    assert first.value[0].nbytes == 1 << 20
+    assert first.value[1].size == 1 << 20
+    assert np.array_equal(second.value[0], small)
+    assert second.value[1].size == 8
+
+
 def test_drain_sink_intercepts_arrivals():
     engine, world = make_world()
     sunk = []

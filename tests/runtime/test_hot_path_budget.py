@@ -1,4 +1,5 @@
-"""Call budgets of the MANA hot paths: blocking send/recv and collectives.
+"""Call budgets of the MANA hot paths: blocking send/recv, collectives and
+the halo exchange.
 
 Host wall-clock on a shared machine spreads by 10-15% from run to run, so a
 slower hot path hides in the noise of a timing test.  The number of Python
@@ -42,10 +43,33 @@ which makes no p2p calls at all.  Measured on CPython 3.11:
 
 "before" built four closures per wrapped call (one of them cyclic), looked
 its counters up by sorted labels, hashed enum members in the handle table
-and copied every allgather value p² times.  The totals also count code
-outside these layers.  The budgets sit about 10% above "after", so they
-hold on every supported CPython; a change that puts work back on a hot path
-trips them.
+and copied every allgather value p² times.
+
+Per p2p message of the halo exchange (``mpi.p2p.recv_messages``): HPCG
+under MANA (32 ranks on 4 Cori nodes, 8 per node, 12 steps, the
+``halo_ckpt`` workload's MANA run), whose 128 KiB faces take the
+rendezvous protocol.  Measured on CPython 3.11:
+
+    layer     before  after
+    builtins      77     60
+    mpilib        38     36
+    simtime       28     24
+    mana          27     25
+    net            9      6
+    obs            9      9
+    mprog          7      7
+    runtime        4      4
+    apps           2      3
+    total        217    179
+
+"before" kept each rendezvous in a send-id dict with three closures, built
+a ``Message`` and a ``meta`` dict per wire send and summed the in-flight
+registry, wrapped every guarded send and every ``all_of`` input in a
+closure, and ran the HPCG vectors through ``np.roll`` and ``mean``.
+
+The totals also count code outside these layers.  The budgets sit about
+10% above "after", so they hold on every supported CPython; a change that
+puts work back on a hot path trips them.
 """
 
 import cProfile
@@ -54,7 +78,7 @@ import os
 from collections import Counter
 
 from repro.apps import get_app, osu
-from repro.hardware.cluster import make_cluster
+from repro.hardware.cluster import cori, make_cluster
 from repro.hardware.kernelmodel import UNPATCHED
 from repro.mana import launch_mana
 
@@ -87,6 +111,23 @@ COLL_LAYER_BUDGETS = {
     "mprog": 23,
     "obs": 12,
     "runtime": 14,
+}
+
+#: the ``halo_ckpt`` benchmark's MANA run: HPCG, 32 ranks, 12 steps
+HALO_STEPS, HALO_RANKS, HALO_PER_NODE = 12, 32, 8
+#: primitive calls per p2p message, all code (builtins included)
+HALO_TOTAL_BUDGET = 197
+#: primitive calls per p2p message of each layer
+HALO_LAYER_BUDGETS = {
+    "builtins": 66,
+    "mpilib": 39,
+    "mana": 28,
+    "simtime": 26,
+    "obs": 10,
+    "mprog": 8,
+    "net": 7,
+    "runtime": 5,
+    "apps": 3,
 }
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -167,6 +208,21 @@ def profile_collectives() -> tuple[float, Counter]:
     return total, layers
 
 
+def profile_halo() -> tuple[float, Counter]:
+    """(primitive calls per p2p message, per-layer calls per p2p message)
+    of the ``halo_ckpt`` benchmark's MANA run."""
+    spec = get_app("hpcg")
+    program = spec.build(spec.default_config.scaled(n_steps=HALO_STEPS))
+    job = launch_mana(cori(HALO_RANKS // HALO_PER_NODE), program,
+                      n_ranks=HALO_RANKS, ranks_per_node=HALO_PER_NODE,
+                      app_mem_bytes=1 << 20).start()
+    total, layers, messages = _calls_per_op(job, "mpi.p2p.recv_messages")
+    # the 4x4x2 periodic grid gives each rank five distinct neighbours
+    # (its two z-neighbours coincide), one message from each per step
+    assert messages == HALO_STEPS * HALO_RANKS * 5, messages
+    return total, layers
+
+
 def _assert_within(total: float, layers: Counter, total_budget: int,
                    layer_budgets: dict, unit: str) -> None:
     report = ", ".join(f"{k}={layers[k]:.1f}" for k in layer_budgets)
@@ -185,3 +241,8 @@ def test_calls_per_message_within_budget():
 def test_calls_per_collective_within_budget():
     _assert_within(*profile_collectives(), COLL_TOTAL_BUDGET,
                    COLL_LAYER_BUDGETS, "collective")
+
+
+def test_calls_per_halo_message_within_budget():
+    _assert_within(*profile_halo(), HALO_TOTAL_BUDGET, HALO_LAYER_BUDGETS,
+                   "msg")
