@@ -72,15 +72,6 @@ def get_app(name: str) -> AppSpec:
 
 # ---------------------------------------------------------------- neighbours
 
-def ring_neighbors(rank: int, size: int) -> list[int]:
-    """Left and right neighbour on a 1D periodic ring (dedup for tiny runs)."""
-    if size == 1:
-        return []
-    neighbors = {(rank - 1) % size, (rank + 1) % size}
-    neighbors.discard(rank)
-    return sorted(neighbors)
-
-
 def grid_neighbors(rank: int, size: int, ndims: int) -> list[int]:
     """Neighbours on a periodic Cartesian factorization of ``size``."""
     from repro.mpilib.topology import CartTopology, dims_create

@@ -89,11 +89,6 @@ class FacilityReport:
         return max(0.0, self.node_hours_used - self.node_hours_lost) / capacity
 
     @property
-    def total_queue_wait(self) -> float:
-        """Sum of all jobs' first-start queue waits, seconds."""
-        return sum(r.queue_wait for r in self.records)
-
-    @property
     def mean_queue_wait(self) -> float:
         """Mean queue wait over jobs that ever started."""
         waits = [r.queue_wait for r in self.records if r.first_start is not None]

@@ -29,17 +29,8 @@ class ComputeNode:
     #: Virtual time of the crash, for post-mortem reports.
     failed_at: float = 0.0
 
-    def compute_time(self, work_seconds: float) -> float:
-        """Wall time this node needs for ``work_seconds`` of reference work."""
-        return work_seconds / self.core_speed
-
     def fail(self, at: float = 0.0) -> None:
         """Mark the node crashed at virtual time ``at`` (idempotent)."""
         if not self.failed:
             self.failed = True
             self.failed_at = at
-
-    def repair(self) -> None:
-        """Return a failed node to service (a replaced blade)."""
-        self.failed = False
-        self.failed_at = 0.0

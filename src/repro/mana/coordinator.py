@@ -85,15 +85,6 @@ class CheckpointReport:
     #: topo only: ranks that hit the bounded-local-drain cycle fallback
     fallback_ranks: tuple = ()
 
-    @property
-    def image_sizes(self) -> list[int]:
-        """Per-rank image sizes in bytes."""
-        if self.ckpt_set is None:
-            raise ValueError(
-                "checkpoint report carries no checkpoint set (the protocol "
-                "did not complete, or the set was detached)"
-            )
-        return [img.size_bytes for img in self.ckpt_set.images]
 
 
 class Coordinator:

@@ -84,27 +84,37 @@ LOCAL_CREATE_OPS = frozenset({
     "group_union", "group_intersection",
 })
 
-#: Free/retire ops, with the handle namespace they operate on.  A free's
-#: keep/cancel decision is always the same as its create's.
+#: Free/retire ops, with the handle namespace they operate on (the kind's
+#: value: compaction keys handles by ``(kind value, vid)``, as the
+#: virtual-handle table does, because hashing an enum member is a
+#: Python-level call).  A free's keep/cancel decision is always the same as
+#: its create's.
 FREE_OPS = {
-    "comm_free": HandleKind.COMM,
-    "file_close": HandleKind.FILE,
-    "group_free": HandleKind.GROUP,
-    "type_free": HandleKind.DATATYPE,
+    "comm_free": HandleKind.COMM.value,
+    "file_close": HandleKind.FILE.value,
+    "group_free": HandleKind.GROUP.value,
+    "type_free": HandleKind.DATATYPE.value,
 }
+
+_COMM_KEY, _GROUP_KEY = HandleKind.COMM.value, HandleKind.GROUP.value
+#: namespaces whose live handles the snapshot fast path restores
+_LOCAL_KINDS = frozenset({HandleKind.GROUP.value, HandleKind.DATATYPE.value})
+_COMM_REF_OPS = frozenset({
+    "comm_dup", "comm_group", "comm_split", "comm_create", "cart_create",
+    "graph_create", "file_open",
+})
 
 
 def entry_refs(entry: "LogEntry") -> tuple:
-    """(kind, vid) pairs this entry's replay resolves (excluding its result)."""
+    """(kind value, vid) pairs this entry's replay resolves (excluding its
+    result)."""
     op = entry.op
-    if op in ("comm_dup", "comm_group", "comm_split", "comm_create",
-              "cart_create", "graph_create", "file_open"):
-        return ((HandleKind.COMM, entry.args[0]),)
+    if op in _COMM_REF_OPS:
+        return ((_COMM_KEY, entry.args[0]),)
     if op in ("group_incl", "group_excl"):
-        return ((HandleKind.GROUP, entry.args[0]),)
+        return ((_GROUP_KEY, entry.args[0]),)
     if op in ("group_union", "group_intersection"):
-        return ((HandleKind.GROUP, entry.args[0]),
-                (HandleKind.GROUP, entry.args[1]))
+        return ((_GROUP_KEY, entry.args[0]), (_GROUP_KEY, entry.args[1]))
     if op in FREE_OPS:
         return ((FREE_OPS[op], entry.args[0]),)
     return ()
@@ -157,9 +167,8 @@ def comm_membership(entries: list, n_ranks: Optional[int]) -> dict:
             continue
         if e.result_vid is None:
             continue
-        group = getattr(e, "group", None)
-        if group is not None:
-            members[e.result_vid] = frozenset(group)
+        if e.group is not None:
+            members[e.result_vid] = frozenset(e.group)
         elif e.op == "comm_create":
             members[e.result_vid] = frozenset(e.args[1])
         elif e.op in ("comm_dup", "cart_create", "graph_create"):
@@ -203,44 +212,39 @@ def compact_log(
     exactly the surviving subsequence.
     """
     stats = CompactionStats(examined=len(entries))
-    created_at: dict = {}
     freed_at: dict = {}
     for i, e in enumerate(entries):
-        if e.op in FREE_OPS:
-            freed_at[(FREE_OPS[e.op], e.args[0])] = i
-        elif e.result_vid is not None:
-            created_at[(e.result_kind, e.result_vid)] = i
+        kind = FREE_OPS.get(e.op)
+        if kind is not None:
+            freed_at[(kind, e.args[0])] = i
 
     members = comm_membership(entries, n_ranks)
     live_set = {
-        (kind, vid) for kind, vids in live.items() for vid in vids
+        (kind._value_, vid) for kind, vids in live.items() for vid in vids
     }
 
     keep = [False] * len(entries)
     needed: set = set()
-
-    def pin(e: "LogEntry") -> None:
-        for ref in entry_refs(e):
-            needed.add(ref)
 
     # Reverse walk: every reference points backward (vids are minted in
     # order), so by the time a create is visited every entry that could
     # reference it has already been decided.
     for i in range(len(entries) - 1, -1, -1):
         e = entries[i]
-        if e.op in FREE_OPS:
+        op = e.op
+        if op in FREE_OPS:
             continue  # a free's fate is decided with its create, below
-        if e.op in LOCAL_CREATE_OPS:
+        if op in LOCAL_CREATE_OPS:
             continue  # elided: the snapshot fast path restores live ones
-        if e.op in COLLECTIVE_CREATE_OPS:
+        if op in COLLECTIVE_CREATE_OPS:
             if e.result_vid is None:
                 # Non-member participation (comm_split undefined colour,
                 # comm_create outsider): always kept, so member ranks —
                 # which cannot see our liveness — keep theirs too.
                 keep[i] = True
-                pin(e)
+                needed.update(entry_refs(e))
                 continue
-            key = (e.result_kind, e.result_vid)
+            key = (e.result_kind._value_, e.result_vid)
             free_idx = freed_at.get(key)
             if key in live_set or key in needed:
                 keep[i] = True
@@ -248,28 +252,25 @@ def compact_log(
                     # Kept only as a dependency: replay must still retire
                     # the vid so the table converges to the snapshot.
                     keep[free_idx] = True
-                pin(e)
+                needed.update(entry_refs(e))
             elif free_idx is not None and _cancellable(e, members):
                 stats.cancelled_pairs += 1
             else:
                 keep[i] = True
                 if free_idx is not None:
                     keep[free_idx] = True
-                pin(e)
+                needed.update(entry_refs(e))
             continue
         # Unknown op: keep conservatively (forward compatibility).
         keep[i] = True
-        pin(e)
+        needed.update(entry_refs(e))
 
-    kept_entries = [e for i, e in enumerate(entries) if keep[i]]
+    kept_entries = [e for e, kept in zip(entries, keep) if kept]
     stats.kept = len(kept_entries)
     stats.elided_local = sum(
-        1 for i, e in enumerate(entries)
-        if not keep[i]
-        and (e.op in LOCAL_CREATE_OPS
-             or (e.op in FREE_OPS
-                 and FREE_OPS[e.op] in (HandleKind.GROUP,
-                                        HandleKind.DATATYPE)))
+        1 for e, kept in zip(entries, keep)
+        if not kept
+        and (e.op in LOCAL_CREATE_OPS or FREE_OPS.get(e.op) in _LOCAL_KINDS)
     )
     return CompactionResult(entries=kept_entries, stats=stats)
 
@@ -325,9 +326,8 @@ def check_collective_consistency(
                 else:
                     child = (pg, e.op, k)
                 gid[q][eq.result_vid] = child
-                group = getattr(eq, "group", None)
-                if group is not None:
-                    members_of[child] = frozenset(group)
+                if eq.group is not None:
+                    members_of[child] = frozenset(eq.group)
                 elif e.op in ("comm_dup", "cart_create", "graph_create"):
                     members_of[child] = part
                 elif e.op == "comm_create":

@@ -41,6 +41,10 @@ from repro.mprog.interp import Interpreter, ProgramState
 from repro.runtime.driver import RankDriver
 from repro.simtime import Completion, Engine
 
+#: read once (an enum member read off its class goes through the enum
+#: metaclass's ``__getattr__`` hook; see repro.mana.wrappers)
+_COMM = HandleKind.COMM
+
 
 @dataclass
 class P2pCounters:
@@ -97,15 +101,36 @@ class BufferedMsg:
 
 
 class DrainBuffer:
-    """Arrival-ordered store of drained messages (per-channel FIFO holds
-    because drain harvests in arrival order)."""
+    """Drained messages, per source in the order they were sent.
+
+    MPI-3.1 §3.5: two messages from one source that both match a receive
+    are received in the order they were sent.  A drain buffers an eager
+    record at once but a rendezvous payload only when its data arrives, so
+    a large message sent before a small one can reach the buffer second.
+    :meth:`add` therefore inserts each message before any later-sent one
+    from the same source, by the sender's per-channel ``seq``.  Those
+    numbers belong to the lower half that carried the message, and a
+    restart brings up a fresh one whose numbers start again at 0: entries
+    restored from an image were sent before anything drained later, so the
+    first ``_restored`` entries are never reordered.
+    """
 
     def __init__(self) -> None:
         self.entries: list[BufferedMsg] = []
+        #: leading entries restored from an image (an older lower half)
+        self._restored = 0
 
     def add(self, msg: BufferedMsg) -> None:
-        """Buffer one drained message (arrival order preserved)."""
-        self.entries.append(msg)
+        """Buffer one drained message behind everything its source sent
+        before it."""
+        entries = self.entries
+        src, seq = msg.src_world, msg.seq
+        for i in range(self._restored, len(entries)):
+            e = entries[i]
+            if e.src_world == src and e.seq > seq:
+                entries.insert(i, msg)
+                return
+        entries.append(msg)
 
     def take(self, vcomm: int, src_world: int, tag: int) -> Optional[BufferedMsg]:
         """Remove and return the first matching entry, or None."""
@@ -116,6 +141,8 @@ class DrainBuffer:
                 and (tag == ANY_TAG or e.tag == tag)
             ):
                 del self.entries[i]
+                if i < self._restored:
+                    self._restored -= 1
                 return e
         return None
 
@@ -132,6 +159,7 @@ class DrainBuffer:
     def restore(self, snap: list[tuple]) -> None:
         """Install state captured by :meth:`snapshot`."""
         self.entries = [BufferedMsg(*row) for row in snap]
+        self._restored = len(self.entries)
 
 
 @dataclass(eq=False, slots=True)
@@ -318,7 +346,7 @@ class ManaRankRuntime:
             "mana.drained_messages", rank=rank
         )
 
-        self.table.register(HandleKind.COMM, endpoint.comm_world,
+        self.table.register(_COMM, endpoint.comm_world,
                             virtual=VCOMM_WORLD)
         self.ctx_to_vcomm[endpoint.comm_world.context_id] = VCOMM_WORLD
 
@@ -342,16 +370,15 @@ class ManaRankRuntime:
 
     def register_comm(self, real: Communicator) -> int:
         """Bind a freshly created communicator under a new virtual id."""
-        vid = self.table.register(HandleKind.COMM, real)
+        vid = self.table.register(_COMM, real)
         self.ctx_to_vcomm[real.context_id] = vid
         return vid
 
     def unregister_comm(self, vid: int) -> Communicator:
         """Retire a communicator's virtual id (MPI_Comm_free); returns the
         real communicator it was bound to."""
-        real = self.table.resolve(HandleKind.COMM, vid)
+        real = self.table.unregister(_COMM, vid)
         self.ctx_to_vcomm.pop(real.context_id, None)
-        self.table.unregister(HandleKind.COMM, vid)
         return real
 
     def hold_at_wrapper_entry(self, closure: Callable[[], None]) -> None:
@@ -482,7 +509,7 @@ class ManaRankRuntime:
     def _post_icoll_barrier(self, rec: IColl) -> None:
         if rec.posted or rec.done:
             return
-        real = self.table.resolve(HandleKind.COMM, rec.vcomm)
+        real = self.table.resolve(_COMM, rec.vcomm)
         rec.barrier = self.endpoint.ibarrier(real).completion
         rec.posted = True
         self.stats.trivial_barriers += 1
@@ -545,7 +572,7 @@ class ManaRankRuntime:
                            hit.tag, hit.size),
                     count=False, journal=True)
                 return
-        real = self.table.resolve(HandleKind.COMM, pend.vcomm)
+        real = self.table.resolve(_COMM, pend.vcomm)
         source = (
             ANY_SOURCE if pend.src_world == ANY_SOURCE
             else real.rank_of_world(pend.src_world)
@@ -561,7 +588,7 @@ class ManaRankRuntime:
         # status.source is comm-local; bookmark receives by world rank
         src_world = pend.src_world
         if src_world == ANY_SOURCE:
-            real = self.table.resolve(HandleKind.COMM, pend.vcomm)
+            real = self.table.resolve(_COMM, pend.vcomm)
             src_world = real.world_of_rank(status.source)
         self._finish_recv(pend, data, status, count=True, journal=True,
                           src_world=src_world)
@@ -585,7 +612,7 @@ class ManaRankRuntime:
         pend.out.resolve((data, status))
 
     def _local_rank_of(self, vcomm: int, world_rank: int) -> Optional[int]:
-        real = self.table.resolve(HandleKind.COMM, vcomm)
+        real = self.table.resolve(_COMM, vcomm)
         return real.rank_of_world(world_rank)
 
     # --------------------------------------------------------- fault injection
@@ -835,7 +862,7 @@ class ManaRankRuntime:
         """Install a checkpoint payload; returns the (unstarted) replay
         engine that rebuilds the lower-half opaque objects."""
         self.table.restore(state["table"])
-        self.table.rebind(HandleKind.COMM, VCOMM_WORLD, self.endpoint.comm_world)
+        self.table.rebind(_COMM, VCOMM_WORLD, self.endpoint.comm_world)
         self.ctx_to_vcomm = {self.endpoint.comm_world.context_id: VCOMM_WORLD}
         self.log.restore(state["log"])
         self.counters.restore(state["counters"])
@@ -876,7 +903,7 @@ class ManaRankRuntime:
         """After replay: rebuild the context map, re-post the phase-1
         Ibarriers of outstanding nonblocking collectives (the old ones died
         with the old lower half), and release the app."""
-        for vid, real in self.table.bound(HandleKind.COMM).items():
+        for vid, real in self.table.bound(_COMM).items():
             self.ctx_to_vcomm[real.context_id] = vid
         self._post_pending_icolls()
         self._repost_pending_irecvs()

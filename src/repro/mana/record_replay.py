@@ -19,13 +19,18 @@ restart cost then tracks live handles, not call history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.mana.virtualize import HandleKind, VirtualHandleTable
 from repro.mpilib.comm import Group
 from repro.mpilib.datatypes import rebuild as rebuild_datatype
 from repro.simtime import Completion, Engine
+
+#: read once (an enum member read off its class goes through the enum
+#: metaclass's ``__getattr__`` hook; see repro.mana.wrappers)
+_COMM, _GROUP, _DATATYPE, _FILE = (
+    HandleKind.COMM, HandleKind.GROUP, HandleKind.DATATYPE, HandleKind.FILE)
 
 
 class ReplayError(RuntimeError):
@@ -36,7 +41,6 @@ class ReplayError(RuntimeError):
     wedges with ``finished`` unresolved."""
 
 
-@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One recorded persistent call.
 
@@ -55,62 +59,60 @@ class LogEntry:
     entries restored from images that predate the field.
 
     A long log holds one entry per persistent call ever made, so entries
-    are slotted (no per-instance ``__dict__``).  Pickle state is the tuple
-    of field values in declaration order.  Images written before entries
-    were slotted hold each entry's ``__dict__`` instead, possibly without
-    ``group``; :meth:`__setstate__` accepts both shapes.
+    are slotted (no per-instance ``__dict__``) and built by a plain
+    ``__init__``.  Nothing mutates an entry once it is recorded.  An entry
+    pickles as a call of the class on its field values, so writing and
+    reading a log runs no Python hook beyond the constructor.  Images
+    written before that hold each entry's pickled *state* instead, which
+    :meth:`__setstate__` reads.
     """
 
-    op: str
-    args: tuple
-    result_vid: Optional[int]
-    result_kind: HandleKind = HandleKind.COMM
-    group: Optional[tuple] = None
+    __slots__ = ("op", "args", "result_vid", "result_kind", "group")
 
+    def __init__(self, op: str, args: tuple, result_vid: Optional[int],
+                 result_kind: HandleKind = HandleKind.COMM,
+                 group: Optional[tuple] = None) -> None:
+        self.op = op
+        self.args = args
+        self.result_vid = result_vid
+        self.result_kind = result_kind
+        self.group = group
 
-_ENTRY_FIELDS = tuple(f.name for f in fields(LogEntry))
+    def _fields(self) -> tuple:
+        return (self.op, self.args, self.result_vid, self.result_kind,
+                self.group)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LogEntry:
+            return NotImplemented
+        return self._fields() == other._fields()
 
-def _entry_getstate(self: LogEntry) -> tuple:
-    return tuple(getattr(self, name) for name in _ENTRY_FIELDS)
+    def __repr__(self) -> str:
+        return (f"LogEntry(op={self.op!r}, args={self.args!r}, "
+                f"result_vid={self.result_vid!r}, "
+                f"result_kind={self.result_kind!r}, group={self.group!r})")
 
+    def __reduce__(self) -> tuple:
+        return (LogEntry, (self.op, self.args, self.result_vid,
+                           self.result_kind, self.group))
 
-def _entry_setstate(self: LogEntry, state: Any) -> None:
-    if isinstance(state, dict):  # an unslotted entry's __dict__
-        state = (state["op"], state["args"], state["result_vid"],
-                 state.get("result_kind", HandleKind.COMM),
-                 state.get("group"))
-    for name, value in zip(_ENTRY_FIELDS, state):
-        object.__setattr__(self, name, value)
+    def __setstate__(self, state: Any) -> None:
+        """Read an entry from an image written before entries pickled as
+        constructor calls, and bring it to the current shape.
 
-
-# Set after decoration: on Python 3.10, ``dataclass(slots=True)`` replaces
-# the pickle hooks of a frozen class with its own, which zip the field
-# names with whatever the state is (an old image's dict gives its keys).
-LogEntry.__getstate__ = _entry_getstate
-LogEntry.__setstate__ = _entry_setstate
-
-
-def _normalize_entry(e: LogEntry) -> LogEntry:
-    """Back-compat shim for entries restored from older images.
-
-    * ``type_create`` used to carry the vid redundantly in ``args`` next to
-      ``result_vid``; ``result_vid``/``result_kind`` are now the single
-      source of truth and the args shrink to ``(recipe,)``.
-    * ``group`` did not exist.  Unpickling fills it with ``None`` (see
-      :func:`_entry_setstate`); an entry whose slot is still unset gets
-      ``None`` here.
-
-    Entries already in the current shape are returned as they are, so a
-    restored log is held once rather than rebuilt entry by entry.
-    """
-    args = e.args
-    if e.op == "type_create" and len(args) == 2:
-        args = (args[0],)
-    elif hasattr(e, "group"):
-        return e
-    return LogEntry(e.op, args, e.result_vid, e.result_kind,
-                    getattr(e, "group", None))
+        * Entries of unslotted images pickled their ``__dict__``, possibly
+          without ``result_kind`` or ``group``; slotted entries before this
+          format pickled the tuple of field values.
+        * ``type_create`` used to carry the vid redundantly in ``args``
+          next to ``result_vid``; the args shrink to ``(recipe,)``.
+        """
+        if isinstance(state, dict):
+            state = (state["op"], state["args"], state["result_vid"],
+                     state.get("result_kind", HandleKind.COMM),
+                     state.get("group"))
+        LogEntry.__init__(self, *state)
+        if self.op == "type_create" and len(self.args) == 2:
+            self.args = self.args[:1]
 
 
 class RecordLog:
@@ -133,10 +135,8 @@ class RecordLog:
     def record(self, op: str, args: tuple, result_vid: Optional[int],
                result_kind: HandleKind = HandleKind.COMM,
                group: Optional[tuple] = None) -> None:
-        """Append one persistent-call entry."""
-        self.entries.append(
-            LogEntry(op, tuple(args), result_vid, result_kind, group)
-        )
+        """Append one persistent-call entry (``args`` is a tuple)."""
+        self.entries.append(LogEntry(op, args, result_vid, result_kind, group))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -206,7 +206,10 @@ class RecordLog:
             entries = snap
             self.local_bindings = {}
             self.compaction_stats = None
-        self.entries = [_normalize_entry(e) for e in entries]
+        # Unpickling brought entries of older images to the current shape
+        # (LogEntry.__setstate__), and nothing else holds a snapshot's
+        # list: it becomes the log as it is.
+        self.entries = entries
 
 
 class ReplayEngine:
@@ -237,6 +240,8 @@ class ReplayEngine:
         self.error: Optional[ReplayError] = None
         self._pumping = False
         self._blocked = False
+        #: the collective entry whose lower-half call is in flight
+        self._entry: Optional[LogEntry] = None
 
     def start(self) -> None:
         """Validate the log, apply local bindings, schedule the first event.
@@ -245,19 +250,16 @@ class ReplayEngine:
         :class:`ReplayError` here, synchronously, instead of wedging the
         engine halfway through a partial replay.
         """
-        unknown = sorted({
-            e.op for e in self.log.entries
-            if getattr(self, f"_replay_{e.op}", None) is None
-        })
+        unknown = set(map(_op_of, self.log.entries)).difference(_HANDLERS)
         if unknown:
             raise ReplayError(
-                f"log contains ops with no replay handler: {unknown} "
+                f"log contains ops with no replay handler: {sorted(unknown)} "
                 "(corrupted image, or one from a newer format?)"
             )
         for kind_name, bindings in self.log.local_bindings.items():
             kind = HandleKind(kind_name)
             for vid, payload in bindings.items():
-                self._bind(kind, vid, self._build_local(payload))
+                self.table.bind_replayed(kind, vid, self._build_local(payload))
                 self.restored_bindings += 1
         # COMM_WORLD is predefined and already bound; pump the entries.
         self.engine.call_after(0.0, self._pump, label="replay:start")
@@ -275,8 +277,8 @@ class ReplayEngine:
     #
     # The drain loop is iterative: local entries (datatypes, group algebra,
     # frees) complete synchronously inside one pass of the while loop, so a
-    # log of any length replays in O(1) stack depth.  Collective entries
-    # park the loop (``_blocked``) until the lower half's completion fires;
+    # log of any length replays in O(1) stack depth.  A collective entry
+    # parks the loop (``_await``) until the lower half's completion fires;
     # ``_continue`` then re-enters the pump.  The re-entrancy guard makes a
     # completion that resolves synchronously equivalent to a local entry.
 
@@ -284,24 +286,22 @@ class ReplayEngine:
         if self._pumping or self.error is not None:
             return
         self._pumping = True
+        entries = self.log.entries
+        entry = None
         try:
-            while not self._blocked and self._idx < len(self.log.entries):
-                entry = self.log.entries[self._idx]
+            while not self._blocked and self._idx < len(entries):
+                entry = entries[self._idx]
                 self._idx += 1
-                handler = getattr(self, f"_replay_{entry.op}", None)
-                try:
-                    if handler is None:
-                        raise ReplayError(
-                            f"no replay handler for op {entry.op!r}"
-                        )
-                    self._blocked = True
-                    handler(entry)
-                except Exception as exc:  # noqa: BLE001 - converted to a
-                    self._fail(entry, exc)  # typed, finished-resolving error
-                    return
+                handler = _HANDLERS.get(entry.op)
+                if handler is None:
+                    raise ReplayError(f"no replay handler for op {entry.op!r}")
+                handler(self, entry)
+        except Exception as exc:  # noqa: BLE001 - converted to a typed,
+            self._fail(entry, exc)  # finished-resolving error
+            return
         finally:
             self._pumping = False
-        if (not self._blocked and self._idx >= len(self.log.entries)
+        if (not self._blocked and self._idx >= len(entries)
                 and not self.finished.done):
             self.finished.resolve(self.replayed)
 
@@ -320,66 +320,65 @@ class ReplayEngine:
         if not self.finished.done:
             self.finished.resolve(err)
 
-    def _local_done(self) -> None:
-        """A local entry finished synchronously; the pump loop continues."""
-        self.replayed += 1
-        self._blocked = False
+    def _await(self, entry: LogEntry, done: Completion, then: Any) -> None:
+        """Park the pump until the lower-half call ``done`` of ``entry``
+        resolves; ``then`` (one of the ``_continue`` methods) takes over."""
+        self._blocked = True
+        self._entry = entry
+        done.on_done(then)
 
-    def _continue(self, entry: LogEntry, real: Any) -> None:
+    def _continue(self, real: Any) -> None:
+        entry = self._entry
+        self._entry = None
         if entry.result_vid is not None:
-            self._bind(entry.result_kind, entry.result_vid, real)
+            self.table.bind_replayed(entry.result_kind, entry.result_vid, real)
         self.replayed += 1
         self._blocked = False
         self._pump()
 
-    def _bind(self, kind: HandleKind, vid: int, real: Any) -> None:
-        """Bind a replayed creation result under its original virtual id.
+    def _continue_file(self, real: Any) -> None:
+        from repro.mana.wrappers import FileBinding
 
-        Handles still bound when the image was cut are *rebinds* (the strict
-        path — the restored table expects exactly those ids); handles that
-        were freed again before the checkpoint are fresh registrations that
-        a later free entry in this same log will retire.
-        """
-        if self.table.expects_rebind(kind, vid):
-            self.table.rebind(kind, vid, real)
-        else:
-            self.table.register(kind, real, virtual=vid)
+        vcomm, path, mode = self._entry.args
+        self._continue(FileBinding(real=real, vcomm=vcomm, path=path,
+                                   mode=mode))
 
     def _resolve_comm(self, vid: int) -> Any:
-        return self.table.resolve(HandleKind.COMM, vid)
+        return self.table.resolve(_COMM, vid)
 
     # ------------------------------------------------------------ handlers
+    #
+    # One per recorded op, found through ``_HANDLERS``.  A local handler
+    # finishes its entry before it returns (and counts it); a collective
+    # one hands the lower-half completion to ``_await``.
 
     def _replay_comm_dup(self, entry: LogEntry) -> None:
         (parent_vid,) = entry.args
-        done = self.endpoint.comm_dup(self._resolve_comm(parent_vid))
-        done.on_done(lambda real: self._continue(entry, real))
+        self._await(entry, self.endpoint.comm_dup(self._resolve_comm(parent_vid)),
+                    self._continue)
 
     def _replay_comm_split(self, entry: LogEntry) -> None:
         parent_vid, color, key = entry.args
-        done = self.endpoint.comm_split(color, key, self._resolve_comm(parent_vid))
-        done.on_done(lambda real: self._continue(entry, real))
+        self._await(entry, self.endpoint.comm_split(
+            color, key, self._resolve_comm(parent_vid)), self._continue)
 
     def _replay_comm_create(self, entry: LogEntry) -> None:
         parent_vid, world_ranks = entry.args
-        done = self.endpoint.comm_create(
-            Group(tuple(world_ranks)), self._resolve_comm(parent_vid)
-        )
-        done.on_done(lambda real: self._continue(entry, real))
+        self._await(entry, self.endpoint.comm_create(
+            Group(tuple(world_ranks)), self._resolve_comm(parent_vid)),
+            self._continue)
 
     def _replay_cart_create(self, entry: LogEntry) -> None:
         parent_vid, dims, periods = entry.args
-        done = self.endpoint.cart_create(
-            list(dims), list(periods), self._resolve_comm(parent_vid)
-        )
-        done.on_done(lambda real: self._continue(entry, real))
+        self._await(entry, self.endpoint.cart_create(
+            list(dims), list(periods), self._resolve_comm(parent_vid)),
+            self._continue)
 
     def _replay_graph_create(self, entry: LogEntry) -> None:
         parent_vid, edges = entry.args
-        done = self.endpoint.graph_create(
-            [tuple(e) for e in edges], self._resolve_comm(parent_vid)
-        )
-        done.on_done(lambda real: self._continue(entry, real))
+        self._await(entry, self.endpoint.graph_create(
+            [tuple(e) for e in edges], self._resolve_comm(parent_vid)),
+            self._continue)
 
     def _replay_comm_free(self, entry: LogEntry) -> None:
         (vid,) = entry.args
@@ -387,48 +386,39 @@ class ReplayEngine:
         # again so the table converges to the pre-checkpoint bindings, and
         # release the real communicator in the fresh lower half too — the
         # original free released the old lower half's.
-        real = self.table.resolve(HandleKind.COMM, vid)
+        real = self.table.unregister(_COMM, vid)
         if self.endpoint is not None:
             self.endpoint.comm_free(real)
-        self.table.unregister(HandleKind.COMM, vid)
-        self._local_done()
+        self.replayed += 1
 
     def _replay_type_create(self, entry: LogEntry) -> None:
         if entry.result_vid is None:
             raise ReplayError("type_create entry lacks a result vid")
-        (recipe,) = entry.args
-        real = rebuild_datatype(recipe)
-        self._bind(HandleKind.DATATYPE, entry.result_vid, real)
-        self._local_done()
+        real = rebuild_datatype(entry.args[0])  # args: (recipe,)
+        self.table.bind_replayed(_DATATYPE, entry.result_vid, real)
+        self.replayed += 1
 
     def _replay_type_free(self, entry: LogEntry) -> None:
         (vid,) = entry.args
         # Datatypes are value objects here: retiring the binding is the
         # whole release (nothing lives in the lower half for them).
-        self.table.unregister(HandleKind.DATATYPE, vid)
-        self._local_done()
+        self.table.unregister(_DATATYPE, vid)
+        self.replayed += 1
 
     # --------------------------------------------------------- file ops
 
     def _replay_file_open(self, entry: LogEntry) -> None:
-        from repro.mana.wrappers import FileBinding
-
         vcomm, path, mode = entry.args
-        done = self.endpoint.file_open(path, mode, self._resolve_comm(vcomm))
-
-        def rebind(real: Any) -> None:
-            binding = FileBinding(real=real, vcomm=vcomm, path=path, mode=mode)
-            self._continue(entry, binding)
-
-        done.on_done(rebind)
+        self._await(entry, self.endpoint.file_open(
+            path, mode, self._resolve_comm(vcomm)), self._continue_file)
 
     def _replay_file_close(self, entry: LogEntry) -> None:
         (vid,) = entry.args
-        binding = self.table.resolve(HandleKind.FILE, vid)
+        binding = self.table.resolve(_FILE, vid)
         # close() releases the real handle in the fresh lower half's ledger.
         binding.real.close()
-        self.table.unregister(HandleKind.FILE, vid)
-        self._local_done()
+        self.table.unregister(_FILE, vid)
+        self.replayed += 1
 
     # ------------------------------------------------- group ops (local)
 
@@ -437,23 +427,23 @@ class ReplayEngine:
             raise ReplayError(
                 f"group entry {entry.op!r} lacks a result vid"
             )
-        self._bind(HandleKind.GROUP, entry.result_vid, group)
-        self._local_done()
+        self.table.bind_replayed(_GROUP, entry.result_vid, group)
+        self.replayed += 1
 
     def _replay_comm_group(self, entry: LogEntry) -> None:
         (parent_vid,) = entry.args
         self._rebind_group(entry, self._resolve_comm(parent_vid).group)
 
     def _resolve_group(self, vid: int) -> Group:
-        return self.table.resolve(HandleKind.GROUP, vid)
+        return self.table.resolve(_GROUP, vid)
 
     def _replay_group_incl(self, entry: LogEntry) -> None:
         vgroup, ranks = entry.args
-        self._rebind_group(entry, self._resolve_group(vgroup).incl(list(ranks)))
+        self._rebind_group(entry, self._resolve_group(vgroup).incl(ranks))
 
     def _replay_group_excl(self, entry: LogEntry) -> None:
         vgroup, ranks = entry.args
-        self._rebind_group(entry, self._resolve_group(vgroup).excl(list(ranks)))
+        self._rebind_group(entry, self._resolve_group(vgroup).excl(ranks))
 
     def _replay_group_union(self, entry: LogEntry) -> None:
         va, vb = entry.args
@@ -471,5 +461,14 @@ class ReplayEngine:
     def _replay_group_free(self, entry: LogEntry) -> None:
         (vid,) = entry.args
         # Groups are value objects: no lower-half resource to release.
-        self.table.unregister(HandleKind.GROUP, vid)
-        self._local_done()
+        self.table.unregister(_GROUP, vid)
+        self.replayed += 1
+
+
+#: op -> its replay handler (an unbound ``ReplayEngine._replay_<op>``)
+_HANDLERS = {
+    name[len("_replay_"):]: fn for name, fn in vars(ReplayEngine).items()
+    if name.startswith("_replay_")
+}
+
+_op_of = attrgetter("op")

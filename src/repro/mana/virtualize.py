@@ -34,6 +34,10 @@ class HandleKind(enum.Enum):
     FILE = "file"
 
 
+#: read once (an enum member read off its class goes through the enum
+#: metaclass's ``__getattr__`` hook; see repro.mana.wrappers)
+_COMM = HandleKind.COMM
+
 #: The application-visible handle for MPI_COMM_WORLD, fixed by convention
 #: (real MPI fixes its predefined handles too).
 VCOMM_WORLD = 1
@@ -52,7 +56,7 @@ class VirtualHandleTable:
         self._next: dict[str, int] = {k.value: 1000 for k in HandleKind}
         self._real: dict[str, dict[int, Any]] = {k.value: {} for k in HandleKind}
         #: ``_real["comm"]``, the map every p2p wrapper call reads
-        self._comms = self._real[HandleKind.COMM.value]
+        self._comms = self._real[_COMM.value]
         #: vids whose real side was discarded (restore / clear_reals) and
         #: that replay is therefore entitled to rebind
         self._expected: dict[str, set[int]] = {k.value: set() for k in HandleKind}
@@ -102,14 +106,36 @@ class VirtualHandleTable:
         when the snapshot was cut / the lower half was discarded)."""
         return int(virtual) in self._expected[kind._value_]
 
-    def unregister(self, kind: HandleKind, virtual: int) -> None:
-        """Drop a binding (e.g. MPI_Comm_free)."""
+    def bind_replayed(self, kind: HandleKind, virtual: int, real: Any) -> None:
+        """Bind a creation result that replay rebuilt under its original
+        virtual id.
+
+        A vid still bound when the image was cut is owed a real object and
+        is *rebound* (the strict path: the restored table expects exactly
+        those ids).  A vid freed again before the checkpoint is a fresh
+        registration, which a later free entry of the same log retires.
+        """
+        key = kind._value_
+        expected = self._expected[key]
+        if virtual in expected:
+            expected.discard(virtual)
+            self._real[key][virtual] = real
+        else:
+            self.register(kind, real, virtual=virtual)
+
+    def unregister(self, kind: HandleKind, virtual: int) -> Any:
+        """Drop a binding (e.g. MPI_Comm_free); returns the real object it
+        was bound to."""
+        reals = self._real[kind._value_]
+        vid = int(virtual)
         try:
-            del self._real[kind._value_][int(virtual)]
+            real = reals[vid]
         except KeyError:
             raise VirtualizationError(
                 f"virtual {kind._value_} handle {virtual} is not bound"
             ) from None
+        del reals[vid]
+        return real
 
     # ------------------------------------------------------------ lookups
 
@@ -117,9 +143,9 @@ class VirtualHandleTable:
         """Virtual id -> current real object (counts as one modeled lookup)."""
         self.lookups += 1
         try:
-            if kind is HandleKind.COMM:
-                return self._comms[int(virtual)]
-            return self._real[kind._value_][int(virtual)]
+            if kind is _COMM:
+                return self._comms[virtual]
+            return self._real[kind._value_][virtual]
         except KeyError:
             raise VirtualizationError(
                 f"dangling virtual {kind._value_} handle {virtual}"

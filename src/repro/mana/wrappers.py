@@ -21,6 +21,8 @@ Each call:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.mana.protocol import ProtocolMode, WrapperPhase
@@ -40,8 +42,11 @@ from repro.simtime import Completion
 #: Modeled cost of recording send/recv metadata (§3.3's second overhead).
 P2P_METADATA_COST = 60e-9
 
-
-from dataclasses import dataclass
+#: Handle kinds read once: an enum member read off its class goes through
+#: the enum metaclass's ``__getattr__`` hook, several times the cost of a
+#: module global, and these are read on every wrapped call.
+_COMM, _GROUP, _DATATYPE, _FILE = (
+    HandleKind.COMM, HandleKind.GROUP, HandleKind.DATATYPE, HandleKind.FILE)
 
 
 class _Labels(dict):
@@ -225,7 +230,7 @@ class ManaApi(MpiApi):
 
     def _resolve_comm(self, vcomm: Optional[int]) -> Communicator:
         return self.rt.table.resolve(
-            HandleKind.COMM, VCOMM_WORLD if vcomm is None else vcomm
+            _COMM, VCOMM_WORLD if vcomm is None else vcomm
         )
 
     def _trace_call(self, name: str, out: Completion) -> None:
@@ -417,7 +422,7 @@ class ManaApi(MpiApi):
         """The two-phase wrapper: trivial barrier, then the real call."""
         rt = self.rt
         real = rt.table.resolve(
-            HandleKind.COMM, VCOMM_WORLD if vcomm is None else vcomm
+            _COMM, VCOMM_WORLD if vcomm is None else vcomm
         )
         if rt.profile is not None:
             rt.profile_op(label)
@@ -432,14 +437,14 @@ class ManaApi(MpiApi):
 
     def barrier(self, comm: Optional[int] = None) -> Completion:
         """MPI_Barrier."""
-        return self._collective("barrier", comm, lambda c: self.rt.endpoint.barrier(c))
+        return self._collective("barrier", comm, self.rt.endpoint.barrier)
 
     def bcast(self, data: Any, root: int, comm: Optional[int] = None,
               size: Optional[int] = None) -> Completion:
         """MPI_Bcast from ``root``."""
         return self._collective(
             "bcast", comm,
-            lambda c: self.rt.endpoint.bcast(data, root, comm=c, size=size),
+            partial(self.rt.endpoint.bcast, data, root, size=size),
         )
 
     def reduce(self, data: Any, op: ReduceOp, root: int,
@@ -447,7 +452,7 @@ class ManaApi(MpiApi):
         """MPI_Reduce to ``root``."""
         return self._collective(
             "reduce", comm,
-            lambda c: self.rt.endpoint.reduce(data, op, root, comm=c, size=size),
+            partial(self.rt.endpoint.reduce, data, op, root, size=size),
         )
 
     def allreduce(self, data: Any, op: ReduceOp, comm: Optional[int] = None,
@@ -455,7 +460,7 @@ class ManaApi(MpiApi):
         """MPI_Allreduce."""
         return self._collective(
             "allreduce", comm,
-            lambda c: self.rt.endpoint.allreduce(data, op, comm=c, size=size),
+            partial(self.rt.endpoint.allreduce, data, op, size=size),
         )
 
     def gather(self, data: Any, root: int, comm: Optional[int] = None,
@@ -463,7 +468,7 @@ class ManaApi(MpiApi):
         """MPI_Gather to ``root``."""
         return self._collective(
             "gather", comm,
-            lambda c: self.rt.endpoint.gather(data, root, comm=c, size=size),
+            partial(self.rt.endpoint.gather, data, root, size=size),
         )
 
     def allgather(self, data: Any, comm: Optional[int] = None,
@@ -471,7 +476,7 @@ class ManaApi(MpiApi):
         """MPI_Allgather."""
         return self._collective(
             "allgather", comm,
-            lambda c: self.rt.endpoint.allgather(data, comm=c, size=size),
+            partial(self.rt.endpoint.allgather, data, size=size),
         )
 
     def scatter(self, chunks: Any, root: int, comm: Optional[int] = None,
@@ -479,7 +484,7 @@ class ManaApi(MpiApi):
         """MPI_Scatter from ``root``."""
         return self._collective(
             "scatter", comm,
-            lambda c: self.rt.endpoint.scatter(chunks, root, comm=c, size=size),
+            partial(self.rt.endpoint.scatter, chunks, root, size=size),
         )
 
     def alltoall(self, chunks: list, comm: Optional[int] = None,
@@ -487,7 +492,7 @@ class ManaApi(MpiApi):
         """MPI_Alltoall."""
         return self._collective(
             "alltoall", comm,
-            lambda c: self.rt.endpoint.alltoall(chunks, comm=c, size=size),
+            partial(self.rt.endpoint.alltoall, chunks, size=size),
         )
 
     def reduce_scatter(self, data: Any, op: ReduceOp, comm: Optional[int] = None,
@@ -495,7 +500,7 @@ class ManaApi(MpiApi):
         """MPI_Reduce_scatter (equal blocks)."""
         return self._collective(
             "reduce_scatter", comm,
-            lambda c: self.rt.endpoint.reduce_scatter(data, op, comm=c, size=size),
+            partial(self.rt.endpoint.reduce_scatter, data, op, size=size),
         )
 
     def scan(self, data: Any, op: ReduceOp, comm: Optional[int] = None,
@@ -503,7 +508,7 @@ class ManaApi(MpiApi):
         """MPI_Scan (inclusive prefix reduction)."""
         return self._collective(
             "scan", comm,
-            lambda c: self.rt.endpoint.scan(data, op, comm=c, size=size),
+            partial(self.rt.endpoint.scan, data, op, size=size),
         )
 
     # ----------------- nonblocking collectives (§4.2 future-work extension)
@@ -620,7 +625,7 @@ class ManaApi(MpiApi):
     def comm_dup(self, comm: Optional[int] = None) -> Completion:
         """MPI_Comm_dup (collective)."""
         return self._persistent(
-            "comm_dup", comm, lambda c: self.rt.endpoint.comm_dup(c),
+            "comm_dup", comm, self.rt.endpoint.comm_dup,
         )
 
     def comm_split(self, color: int, key: int,
@@ -628,7 +633,7 @@ class ManaApi(MpiApi):
         """MPI_Comm_split (collective); resolves with the new communicator or None."""
         return self._persistent(
             "comm_split", comm,
-            lambda c: self.rt.endpoint.comm_split(color, key, c),
+            partial(self.rt.endpoint.comm_split, color, key),
             color, key,
         )
 
@@ -638,7 +643,7 @@ class ManaApi(MpiApi):
             group = self._resolve_group(group)
         return self._persistent(
             "comm_create", comm,
-            lambda c: self.rt.endpoint.comm_create(group, c),
+            partial(self.rt.endpoint.comm_create, group),
             tuple(group.world_ranks),
         )
 
@@ -647,7 +652,7 @@ class ManaApi(MpiApi):
         """MPI_Cart_create (collective); the result carries a CartTopology."""
         return self._persistent(
             "cart_create", comm,
-            lambda c: self.rt.endpoint.cart_create(dims, periods, c),
+            partial(self.rt.endpoint.cart_create, dims, periods),
             tuple(dims), tuple(bool(p) for p in periods),
         )
 
@@ -655,15 +660,15 @@ class ManaApi(MpiApi):
         """MPI_Graph_create (collective)."""
         return self._persistent(
             "graph_create", comm,
-            lambda c: self.rt.endpoint.graph_create(edges, c),
+            partial(self.rt.endpoint.graph_create, edges),
             tuple(tuple(e) for e in edges),
         )
 
     def comm_free(self, vcomm: int) -> None:
         """Retire the virtual handle, release the real one, log the free."""
-        real = self.rt.unregister_comm(vcomm)
-        self.rt.endpoint.comm_free(real)
-        self.rt.log.record("comm_free", (vcomm,), None)
+        rt = self.rt
+        rt.endpoint.comm_free(rt.unregister_comm(vcomm))
+        rt.log.record("comm_free", (vcomm,), None)
 
     # --------------------------------------------------------------- files
     #
@@ -681,19 +686,19 @@ class ManaApi(MpiApi):
 
         def register(real: Any) -> None:
             binding = FileBinding(real=real, vcomm=vcomm, path=path, mode=mode)
-            vid = rt.table.register(HandleKind.FILE, binding)
+            vid = rt.table.register(_FILE, binding)
             rt.log.record("file_open", (vcomm, path, mode), vid,
-                          result_kind=HandleKind.FILE)
+                          result_kind=_FILE)
             out.resolve(vid)
 
         self._collective(
             "file_open", comm,
-            lambda c: rt.endpoint.file_open(path, mode, c),
+            partial(rt.endpoint.file_open, path, mode),
         ).on_done(register)
         return out
 
     def _resolve_file(self, vfile: int) -> "FileBinding":
-        return self.rt.table.resolve(HandleKind.FILE, vfile)
+        return self.rt.table.resolve(_FILE, vfile)
 
     def file_write_at(self, vfile: int, offset: int, data: bytes,
                       size: Optional[int] = None) -> Completion:
@@ -739,9 +744,9 @@ class ManaApi(MpiApi):
         """Close and retire the handle; recorded for replay."""
         binding = self._resolve_file(vfile)
         binding.real.close()
-        self.rt.table.unregister(HandleKind.FILE, vfile)
+        self.rt.table.unregister(_FILE, vfile)
         self.rt.log.record("file_close", (vfile,), None,
-                           result_kind=HandleKind.FILE)
+                           result_kind=_FILE)
 
     # --------------------------------------------------------------- groups
     #
@@ -752,20 +757,21 @@ class ManaApi(MpiApi):
 
     def comm_group(self, comm: Optional[int] = None) -> int:
         """MPI_Comm_group: returns a virtual group handle."""
+        rt = self.rt
         parent_vid = VCOMM_WORLD if comm is None else comm
-        group = self._resolve_comm(comm).group
-        vid = self.rt.table.register(HandleKind.GROUP, group)
-        self.rt.log.record("comm_group", (parent_vid,), vid,
-                           result_kind=HandleKind.GROUP)
+        group = rt.table.resolve(_COMM, parent_vid).group
+        vid = rt.table.register(_GROUP, group)
+        rt.log.record("comm_group", (parent_vid,), vid,
+                      result_kind=_GROUP)
         return vid
 
     def _resolve_group(self, vgroup: int) -> Group:
-        return self.rt.table.resolve(HandleKind.GROUP, vgroup)
+        return self.rt.table.resolve(_GROUP, vgroup)
 
     def _derive_group(self, op: str, vgroup: int, arg, derived: Group) -> int:
-        vid = self.rt.table.register(HandleKind.GROUP, derived)
-        self.rt.log.record(op, (vgroup, arg), vid,
-                           result_kind=HandleKind.GROUP)
+        rt = self.rt
+        vid = rt.table.register(_GROUP, derived)
+        rt.log.record(op, (vgroup, arg), vid, result_kind=_GROUP)
         return vid
 
     def group_incl(self, vgroup: int, ranks: list[int]) -> int:
@@ -792,9 +798,10 @@ class ManaApi(MpiApi):
 
     def group_free(self, vgroup: int) -> None:
         """MPI_Group_free: retire the handle (recorded for replay)."""
-        self.rt.table.unregister(HandleKind.GROUP, vgroup)
-        self.rt.log.record("group_free", (vgroup,), None,
-                           result_kind=HandleKind.GROUP)
+        rt = self.rt
+        rt.table.unregister(_GROUP, vgroup)
+        rt.log.record("group_free", (vgroup,), None,
+                      result_kind=_GROUP)
 
     def group_size(self, vgroup: int) -> int:
         """Number of ranks in the group."""
@@ -807,16 +814,18 @@ class ManaApi(MpiApi):
     # ------------------------------------------------------------ datatypes
 
     def _new_type(self, dtype: Datatype) -> int:
-        vid = self.rt.table.register(HandleKind.DATATYPE, dtype)
-        self.rt.log.record("type_create", (dtype.recipe,), vid,
-                           result_kind=HandleKind.DATATYPE)
+        rt = self.rt
+        vid = rt.table.register(_DATATYPE, dtype)
+        rt.log.record("type_create", (dtype.recipe,), vid,
+                      result_kind=_DATATYPE)
         return vid
 
     def type_free(self, vid: int) -> None:
         """MPI_Type_free: retire the handle (recorded for replay)."""
-        self.rt.table.unregister(HandleKind.DATATYPE, vid)
-        self.rt.log.record("type_free", (vid,), None,
-                           result_kind=HandleKind.DATATYPE)
+        rt = self.rt
+        rt.table.unregister(_DATATYPE, vid)
+        rt.log.record("type_free", (vid,), None,
+                      result_kind=_DATATYPE)
 
     def type_contiguous(self, count: int, base: Datatype) -> int:
         """MPI_Type_contiguous; returns a virtual datatype handle."""
@@ -833,7 +842,7 @@ class ManaApi(MpiApi):
 
     def resolve_type(self, vid: int) -> Datatype:
         """Virtual datatype handle -> Datatype (for size computations)."""
-        return self.rt.table.resolve(HandleKind.DATATYPE, vid)
+        return self.rt.table.resolve(_DATATYPE, vid)
 
     # ------------------------------------------------------------ local ops
 

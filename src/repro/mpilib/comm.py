@@ -55,7 +55,12 @@ class Group:
 
     def incl(self, ranks: Sequence[int]) -> "Group":
         """MPI_Group_incl: subset in the given order."""
-        return Group(tuple([self.translate(r) for r in ranks]))
+        world = self.world_ranks
+        n = len(world)
+        for r in ranks:
+            if not 0 <= r < n:
+                self.translate(r)  # raises MpiError
+        return Group(tuple([world[r] for r in ranks]))
 
     def excl(self, ranks: Sequence[int]) -> "Group":
         """MPI_Group_excl."""

@@ -185,23 +185,31 @@ class HandleLedger:
 
     def note_created(self, kind: str, handle: int) -> None:
         """Record a freshly minted real handle."""
-        self._live.setdefault(kind, set()).add(handle)
-        self.created[kind] = self.created.get(kind, 0) + 1
+        self._live[kind].add(handle)
+        self.created[kind] += 1
 
     def note_released(self, kind: str, handle: int) -> None:
         """Record a release; releasing an unknown/retired handle is a no-op."""
-        live = self._live.setdefault(kind, set())
+        live = self._live[kind]
         if handle in live:
-            live.discard(handle)
-            self.released[kind] = self.released.get(kind, 0) + 1
+            live.remove(handle)
+            self.released[kind] += 1
 
     def live(self, kind: str) -> int:
         """Number of currently live handles of one kind."""
-        return len(self._live.get(kind, ()))
+        return len(self._live[kind])
 
-    def live_handles(self, kind: str) -> set[int]:
-        """The live handle values themselves (for tests/inspection)."""
-        return set(self._live.get(kind, ()))
+
+class _CommCreation:
+    """One open communicator-creating collective instance: per colour, the
+    ``(context id, group, name)`` its members share, and how many members
+    have picked their result up."""
+
+    __slots__ = ("pickups", "shared")
+
+    def __init__(self) -> None:
+        self.pickups = 0
+        self.shared: dict[Any, tuple[int, Group, str]] = {}
 
 
 class MpiWorld:
@@ -226,10 +234,8 @@ class MpiWorld:
         self._channel_seq: dict[tuple[int, int], int] = {}
         self._channel_last_arrival: dict[tuple[int, int], float] = {}
         self._colls: dict[tuple[int, int], _CollectiveContext] = {}
-        #: open comm-management instances: (op kind, parent context) ->
-        #: pickups so far, and -> {color: minted context id}
-        self._ctx_pickups: dict[tuple, int] = {}
-        self._ctx_memo: dict[tuple, dict] = {}
+        #: open comm-management instances, by (op kind, parent context)
+        self._comm_creations: dict[tuple[str, int], _CommCreation] = {}
         self.finalized = False
         #: cumulative p2p statistics (per experiment reporting)
         self.p2p_messages = 0
@@ -300,36 +306,41 @@ class MpiWorld:
         self.ledger.note_created("file", handle)
         return handle
 
-    def shared_context_id(
-        self, op_kind: str, parent_ctx: int, comm_size: int,
-        color_key: Any = None, mint: bool = True,
-    ) -> Optional[int]:
-        """Context id shared by every rank of one comm-management collective.
+    def shared_comm(
+        self, op_kind: str, parent: Communicator, color: Any,
+        build: Optional[Callable[[], tuple[Group, str]]],
+    ) -> Optional[tuple[int, Group, str]]:
+        """``(context id, group, name)`` of the communicator that one
+        colour of a comm-management collective creates, shared by all its
+        members.
 
         Each rank of the parent communicator calls this exactly once per
         operation instance, from its own completion callback.  Collectives
         on one communicator are totally ordered, so the pickups of one
-        ``(op_kind, parent_ctx)`` instance never interleave with the next
-        one's: after ``comm_size`` pickups the instance is complete and its
-        bookkeeping is retired.  ``color_key`` separates the per-color
-        communicators of MPI_Comm_split within one instance; a rank that
-        gets no communicator (MPI_UNDEFINED) still counts its pickup, with
-        ``mint=False``, and gets None.
+        ``(op_kind, parent context)`` instance never interleave with the
+        next one's: after ``parent.size`` pickups the instance is retired.
+        The first member of a colour to pick up mints the context id and
+        calls ``build()`` for the group and name; the others share them.
+        ``color`` separates the per-colour communicators of MPI_Comm_split
+        within one instance; a rank that gets no communicator
+        (MPI_UNDEFINED) passes ``build=None``, still counts its pickup, and
+        gets None.
         """
-        key = (op_kind, parent_ctx)
-        count = self._ctx_pickups.get(key, 0) + 1
-        colors = self._ctx_memo.setdefault(key, {})
-        ctx = None
-        if mint:
-            ctx = colors.get(color_key)
-            if ctx is None:
-                ctx = colors[color_key] = self.new_context_id()
-        if count == comm_size:
-            self._ctx_pickups.pop(key, None)
-            del self._ctx_memo[key]
-        else:
-            self._ctx_pickups[key] = count
-        return ctx
+        key = (op_kind, parent.context_id)
+        creations = self._comm_creations
+        creation = creations.get(key)
+        if creation is None:
+            creation = creations[key] = _CommCreation()
+        creation.pickups += 1
+        shared = None
+        if build is not None:
+            shared = creation.shared.get(color)
+            if shared is None:
+                shared = creation.shared[color] = (
+                    self.new_context_id(), *build())
+        if creation.pickups == len(parent.group.world_ranks):
+            del creations[key]
+        return shared
 
     # -------------------------------------------------------- wire helpers
 
@@ -902,18 +913,10 @@ class MpiEndpoint:
         """Collective; resolves with this rank's new Communicator."""
         comm = comm or self.comm_world
         self.calls += 1
-        done = self.world.collective_arrive(self, comm, "allgather", ("dup",), 8)
-        out = Completion(self.engine, label="comm_dup")
-
-        def finish(_vals: Any) -> None:
-            ctx = self.world.shared_context_id("dup", comm.context_id, comm.size)
-            out.resolve(Communicator(
-                handle=self.world.new_comm_handle(), context_id=ctx,
-                group=comm.group, name=f"{comm.name}.dup",
-            ))
-
-        done.on_done(finish)
-        return out
+        call = _CommCall(self, comm, "comm_dup")
+        self.world.collective_arrive(
+            self, comm, "allgather", ("dup",), 8).on_done(call.dup)
+        return call.out
 
     def comm_split(self, color: int, key: int,
                    comm: Optional[Communicator] = None) -> Completion:
@@ -921,32 +924,11 @@ class MpiEndpoint:
         color < 0, the MPI_UNDEFINED convention)."""
         comm = comm or self.comm_world
         self.calls += 1
-        done = self.world.collective_arrive(
+        call = _CommCall(self, comm, "comm_split", color)
+        self.world.collective_arrive(
             self, comm, "allgather", (color, key, self.rank), 12
-        )
-        out = Completion(self.engine, label="comm_split")
-
-        def finish(values: list) -> None:
-            me = comm.rank_of_world(self.rank)
-            my_color = values[me][0]
-            if my_color < 0:
-                self.world.shared_context_id("split", comm.context_id,
-                                             comm.size, mint=False)
-                out.resolve(None)
-                return
-            # MPI-3.1 §6.4.2: ordered by key, ties by rank in the parent
-            # (``values`` is in parent-rank order)
-            members = sorted([(k, r, w) for r, (c, k, w) in enumerate(values)
-                              if c == my_color])
-            group = Group(tuple([w for _k, _r, w in members]))
-            ctx = self.world.shared_context_id("split", comm.context_id, comm.size, my_color)
-            out.resolve(Communicator(
-                handle=self.world.new_comm_handle(), context_id=ctx,
-                group=group, name=f"{comm.name}.split({my_color})",
-            ))
-
-        done.on_done(finish)
-        return out
+        ).on_done(call.split)
+        return call.out
 
     def comm_create(self, group: Group,
                     comm: Optional[Communicator] = None) -> Completion:
@@ -954,26 +936,11 @@ class MpiEndpoint:
         members of ``group``, None for non-members."""
         comm = comm or self.comm_world
         self.calls += 1
-        done = self.world.collective_arrive(
+        call = _CommCall(self, comm, "comm_create", group)
+        self.world.collective_arrive(
             self, comm, "allgather", tuple(group.world_ranks), 8
-        )
-        out = Completion(self.engine, label="comm_create")
-
-        def finish(values: list) -> None:
-            if any(v != values[0] for v in values):
-                out.cancel()
-                raise MpiError("comm_create called with differing groups")
-            ctx = self.world.shared_context_id("create", comm.context_id, comm.size)
-            if group.rank_of(self.rank) is None:
-                out.resolve(None)
-            else:
-                out.resolve(Communicator(
-                    handle=self.world.new_comm_handle(), context_id=ctx,
-                    group=group, name=f"{comm.name}.create",
-                ))
-
-        done.on_done(finish)
-        return out
+        ).on_done(call.create)
+        return call.out
 
     def cart_create(self, dims: list[int], periods: list[bool],
                     comm: Optional[Communicator] = None,
@@ -987,50 +954,23 @@ class MpiEndpoint:
                 f"cart_create dims {dims} need {topo.size} ranks, "
                 f"communicator has {comm.size}"
             )
-        done = self.world.collective_arrive(
+        call = _CommCall(self, comm, "cart_create", topo)
+        self.world.collective_arrive(
             self, comm, "allgather", ("cart", tuple(dims)), 8
-        )
-        out = Completion(self.engine, label="cart_create")
-
-        def finish(_values: Any) -> None:
-            ctx = self.world.shared_context_id("topo", comm.context_id, comm.size)
-            new = Communicator(
-                handle=self.world.new_comm_handle(), context_id=ctx,
-                group=comm.group, name=f"{comm.name}.cart",
-            )
-            new.topology = topo
-            out.resolve(new)
-
-        done.on_done(finish)
-        return out
+        ).on_done(call.cart)
+        return call.out
 
     def file_open(self, path: str, mode: str = "rw",
                   comm: Optional[Communicator] = None) -> Completion:
         """MPI_File_open: collective over ``comm``; resolves with this
         rank's :class:`~repro.mpilib.io.MpiFile` handle."""
-        from repro.mpilib.io import MpiFile
-
         comm = comm or self.comm_world
         self.calls += 1
-        done = self.world.collective_arrive(
+        call = _CommCall(self, comm, "file_open", (path, mode))
+        self.world.collective_arrive(
             self, comm, "allgather", (path, mode), 8
-        )
-        out = Completion(self.engine, label="file_open")
-
-        def finish(values: list) -> None:
-            if any(v != values[0] for v in values):
-                out.cancel()
-                raise MpiError(
-                    f"file_open mismatch across ranks: {sorted(set(values))}"
-                )
-            sim_file = self.world.cluster.fs.open(path)
-            out.resolve(MpiFile(
-                handle=self.world.new_file_handle(), file=sim_file,
-                comm=comm, endpoint=self, mode=mode,
-            ))
-
-        done.on_done(finish)
-        return out
+        ).on_done(call.file)
+        return call.out
 
     def graph_create(self, edges: list[tuple[int, ...]],
                      comm: Optional[Communicator] = None) -> Completion:
@@ -1040,22 +980,130 @@ class MpiEndpoint:
         topo = GraphTopology(tuple(tuple(e) for e in edges))
         if topo.size != comm.size:
             raise MpiError("graph_create edge list must cover every rank")
-        done = self.world.collective_arrive(
+        call = _CommCall(self, comm, "graph_create", topo)
+        self.world.collective_arrive(
             self, comm, "allgather", ("graph",), 8
+        ).on_done(call.graph)
+        return call.out
+
+
+class _CommCall:
+    """One rank's communicator- or file-creating call.
+
+    The lower half matches the call as an allgather on ``comm``.  The
+    method named after the call (:meth:`dup`, :meth:`split`, ...) is handed
+    to that allgather's completion as a bound method: it builds this rank's
+    new object from the matched values and resolves ``out``.  What the
+    members of one new communicator share — context id, group and name —
+    is built once per instance and colour (:meth:`MpiWorld.shared_comm`).
+    ``arg`` is the call's own input: the colour of a split, the group of a
+    create, the topology of a cart/graph create, ``(path, mode)`` of a
+    file open.
+    """
+
+    __slots__ = ("endpoint", "comm", "arg", "values", "out")
+
+    def __init__(self, endpoint: MpiEndpoint, comm: Communicator, label: str,
+                 arg: Any = None) -> None:
+        self.endpoint = endpoint
+        self.comm = comm
+        self.arg = arg
+        #: a split's matched allgather values, read by :meth:`_split_comm`
+        self.values: Optional[list] = None
+        self.out = Completion(endpoint.engine, label=label)
+
+    def _resolve(self, shared: tuple[int, Group, str],
+                 topology: Any = None) -> None:
+        ctx, group, name = shared
+        new = Communicator(
+            handle=self.endpoint.world.new_comm_handle(), context_id=ctx,
+            group=group, name=name,
         )
-        out = Completion(self.engine, label="graph_create")
+        if topology is not None:
+            new.topology = topology
+        self.out.resolve(new)
 
-        def finish(_values: Any) -> None:
-            ctx = self.world.shared_context_id("topo", comm.context_id, comm.size)
-            new = Communicator(
-                handle=self.world.new_comm_handle(), context_id=ctx,
-                group=comm.group, name=f"{comm.name}.graph",
-            )
-            new.topology = topo
-            out.resolve(new)
+    def _differ(self, values: list) -> bool:
+        """True (and ``out`` cancelled) if the ranks' inputs disagree."""
+        if any(v != values[0] for v in values):
+            self.out.cancel()
+            return True
+        return False
 
-        done.on_done(finish)
-        return out
+    def dup(self, _values: list) -> None:
+        """MPI_Comm_dup: the parent's group under a new context."""
+        self._resolve(self.endpoint.world.shared_comm(
+            "dup", self.comm, None, self._dup_comm))
+
+    def _dup_comm(self) -> tuple[Group, str]:
+        return self.comm.group, f"{self.comm.name}.dup"
+
+    def split(self, values: list) -> None:
+        """MPI_Comm_split: this rank's colour, or None if undefined."""
+        color = self.arg
+        world = self.endpoint.world
+        if color < 0:
+            world.shared_comm("split", self.comm, None, None)
+            self.out.resolve(None)
+            return
+        self.values = values
+        self._resolve(world.shared_comm("split", self.comm, color,
+                                        self._split_comm))
+
+    def _split_comm(self) -> tuple[Group, str]:
+        color = self.arg
+        # MPI-3.1 §6.4.2: ordered by key, ties by rank in the parent
+        # (``values`` is in parent-rank order)
+        members = sorted([(k, r, w) for r, (c, k, w) in enumerate(self.values)
+                          if c == color])
+        return (Group(tuple([w for _k, _r, w in members])),
+                f"{self.comm.name}.split({color})")
+
+    def create(self, values: list) -> None:
+        """MPI_Comm_create: the group's communicator, None for
+        non-members."""
+        if self._differ(values):
+            raise MpiError("comm_create called with differing groups")
+        shared = self.endpoint.world.shared_comm(
+            "create", self.comm, None, self._create_comm)
+        if self.arg.rank_of(self.endpoint.rank) is None:
+            self.out.resolve(None)
+        else:
+            self._resolve(shared)
+
+    def _create_comm(self) -> tuple[Group, str]:
+        return self.arg, f"{self.comm.name}.create"
+
+    def cart(self, _values: list) -> None:
+        """MPI_Cart_create: the parent's group with a Cartesian topology."""
+        self._resolve(self.endpoint.world.shared_comm(
+            "topo", self.comm, None, self._cart_comm), self.arg)
+
+    def _cart_comm(self) -> tuple[Group, str]:
+        return self.comm.group, f"{self.comm.name}.cart"
+
+    def graph(self, _values: list) -> None:
+        """MPI_Graph_create: the parent's group with a graph topology."""
+        self._resolve(self.endpoint.world.shared_comm(
+            "topo", self.comm, None, self._graph_comm), self.arg)
+
+    def _graph_comm(self) -> tuple[Group, str]:
+        return self.comm.group, f"{self.comm.name}.graph"
+
+    def file(self, values: list) -> None:
+        """MPI_File_open: this rank's handle on the shared file."""
+        from repro.mpilib.io import MpiFile
+
+        if self._differ(values):
+            raise MpiError(
+                f"file_open mismatch across ranks: {sorted(set(values))}")
+        path, mode = self.arg
+        endpoint = self.endpoint
+        sim_file = endpoint.world.cluster.fs.open(path)
+        self.out.resolve(MpiFile(
+            handle=endpoint.world.new_file_handle(), file=sim_file,
+            comm=self.comm, endpoint=endpoint, mode=mode,
+        ))
 
 
 def _default_size(data: Any) -> int:

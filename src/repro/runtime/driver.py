@@ -124,11 +124,6 @@ class RankDriver:
         self.parked_at = where
         self._pending = continuation
 
-    @property
-    def is_parked(self) -> bool:
-        """True while the driver holds a stored continuation."""
-        return self._pending is not None
-
     def current_call_key(self) -> Optional[tuple]:
         """Identity of the in-progress call leaf's dynamic instance:
         (node path, leaves completed so far).  Stable across checkpoint and

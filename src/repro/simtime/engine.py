@@ -330,10 +330,6 @@ class Completion:
         for other in rest:
             other(value)
 
-    def resolve_at(self, when: float, value: Any = None) -> None:
-        """Schedule resolution at absolute virtual time ``when``."""
-        self.engine._post(when, self.resolve, (value,), "resolve:" + self.label)
-
     def resolve_after(self, delay: float, value: Any = None) -> None:
         """Schedule resolution ``delay`` seconds from now."""
         if delay < 0:

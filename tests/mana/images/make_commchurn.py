@@ -1,17 +1,23 @@
-"""Write the ``commchurn_v1`` old-image fixture.
+"""Write a ``commchurn`` image-corpus set.
 
-    PYTHONPATH=src python tests/mana/images/make_commchurn_v1.py OUTDIR
+    PYTHONPATH=src python tests/mana/images/make_commchurn.py OUTDIR
 
 Checkpoints a 4-rank ``commchurn`` job (uncompacted log) mid-run on two
 Aries nodes, saves the set with :func:`repro.mana.storage.save_checkpoint`,
 restarts it onto InfiniBand/Open MPI and writes the restarted run's final
 state fingerprint to ``OUTDIR/golden.json``.
 
-The committed ``commchurn_v1`` set was written by the code whose
-``LogEntry`` was a plain frozen dataclass (pickled state: the instance
-``__dict__``).  Re-running this script on newer code writes images in the
-newer format; keep the committed set as it is, and add a new versioned
-directory instead when the image format changes again.
+Each committed set was written by the code of one image format, and stays
+as it was written:
+
+* ``commchurn_v1``: ``LogEntry`` was a plain frozen dataclass (pickled
+  state: the instance ``__dict__``);
+* ``commchurn_v2``: log entries pickle as calls of ``LogEntry`` on their
+  field values.
+
+Running this script writes images in the current format.  When the image
+format changes again, write a new versioned directory with it; do not
+rewrite the committed sets.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.mana.record_replay import LogEntry
 from repro.mana.storage import load_checkpoint
 from repro.mana.virtualize import HandleKind
 
-from tests.mana.images.make_commchurn_v1 import restart_fingerprint
+from tests.mana.images.make_commchurn import restart_fingerprint
 
 IMAGES = pathlib.Path(__file__).parent / "images"
 
@@ -49,7 +49,22 @@ def test_log_entries_are_slotted_and_read_both_pickle_states():
     assert old == LogEntry("comm_dup", (1,), 1000, HandleKind.COMM, None)
 
 
-@pytest.mark.parametrize("name", ["commchurn_v1"])
+def test_commchurn_v2_entries_load_without_state_hooks(monkeypatch):
+    """The current format: every entry unpickles as a call of ``LogEntry``
+    on its fields, never through the legacy ``__setstate__``."""
+    def legacy(self, state):
+        raise AssertionError("a commchurn_v2 entry was pickled as state")
+
+    monkeypatch.setattr(LogEntry, "__setstate__", legacy)
+    ckpt = load_checkpoint(IMAGES / "commchurn_v2")
+    log = pickle.loads(ckpt.images[0].payload)["log"]
+    assert isinstance(log, list)
+    assert {"comm_dup", "comm_split", "type_create"} <= {e.op for e in log}
+    assert log[0] == LogEntry("comm_dup", (1,), 1000, HandleKind.COMM,
+                              (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("name", ["commchurn_v1", "commchurn_v2"])
 def test_old_image_restarts_to_its_recorded_fingerprint(name):
     fingerprint, replayed = restart_fingerprint(IMAGES / name)
     golden = _golden(name)

@@ -16,7 +16,7 @@ from repro.mana import JobOptions, launch_mana, restart
 from repro.mana.storage import load_checkpoint, save_checkpoint
 
 from tests.mana.conftest import allreduce_factory, launch_small
-from tests.mana.images.make_commchurn_v1 import app_config
+from tests.mana.images.make_commchurn import app_config
 
 IMAGES = pathlib.Path(__file__).parent / "images"
 

@@ -243,14 +243,22 @@ def test_group_entry_without_result_vid_is_typed_error():
     assert isinstance(replay.finished.value, ReplayError)
 
 
+def _unpickled_old_entry(state) -> LogEntry:
+    """An entry as unpickling an older image builds it: a bare instance,
+    then its pickled state (what pickle's NEWOBJ and BUILD do)."""
+    entry = LogEntry.__new__(LogEntry)
+    entry.__setstate__(state)
+    return entry
+
+
 def test_old_style_type_create_args_normalized():
-    """Images from before this change carry ``(recipe, vid)`` args; restore
-    must shrink them to ``(recipe,)`` and replay from result_vid."""
+    """Images from before this change carry ``(recipe, vid)`` args; reading
+    them must shrink the args to ``(recipe,)`` and replay from result_vid."""
     from repro.mpilib.datatypes import contiguous
 
     dt = contiguous(4, DOUBLE)
-    old = LogEntry("type_create", (dt.recipe, 2000), 2000,
-                   HandleKind.DATATYPE)
+    old = _unpickled_old_entry(("type_create", (dt.recipe, 2000), 2000,
+                                HandleKind.DATATYPE, None))
     log = RecordLog()
     log.restore([old])
     assert log.entries[0].args == (dt.recipe,)
@@ -265,11 +273,10 @@ def test_old_style_type_create_args_normalized():
 
 
 def test_restored_entries_without_group_field():
-    """Entries unpickled from old images lack the ``group`` attribute
-    entirely; restore must default it to None (= never cancel)."""
-    e = LogEntry("comm_dup", (VCOMM_WORLD,), 1000)
-    clone = pickle.loads(pickle.dumps(e))
-    object.__delattr__(clone, "group")
+    """Entries of old images were pickled without the ``group`` field;
+    reading them must default it to None (= never cancel)."""
+    clone = _unpickled_old_entry({"op": "comm_dup", "args": (VCOMM_WORLD,),
+                                  "result_vid": 1000})
     log = RecordLog()
     log.restore([clone])
     assert log.entries[0].group is None

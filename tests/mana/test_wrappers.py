@@ -238,3 +238,27 @@ class TestDrainBuffer:
         buf2 = DrainBuffer()
         buf2.restore(snap)
         assert np.array_equal(buf2.take(1, 0, 0).data, np.arange(3.0))
+
+    def test_later_arrival_sent_earlier_is_served_first(self):
+        """A rendezvous payload drained after an eager record its sender
+        sent later still comes out first (per-source send order)."""
+        buf = DrainBuffer()
+        buf.add(self._msg(seq=1, data="eager"))
+        buf.add(self._msg(src=2, seq=0, data="other source"))
+        buf.add(self._msg(seq=0, data="rendezvous"))
+        assert buf.take(1, 0, 0).data == "rendezvous"
+        assert buf.take(1, ANY_SOURCE, ANY_TAG).data == "eager"
+        assert buf.take(1, ANY_SOURCE, ANY_TAG).data == "other source"
+
+    def test_restored_entries_precede_a_fresh_lower_half(self):
+        """Sequence numbers restart in the lower half a restart brings up:
+        entries restored from an image stay ahead of later drains."""
+        old = DrainBuffer()
+        old.add(self._msg(seq=7, data="before restart"))
+        buf = DrainBuffer()
+        buf.restore(old.snapshot())
+        buf.add(self._msg(seq=1, data="after restart, eager"))
+        buf.add(self._msg(seq=0, data="after restart, rendezvous"))
+        assert [buf.take(1, 0, 0).data for _ in range(3)] == [
+            "before restart", "after restart, rendezvous",
+            "after restart, eager"]

@@ -286,11 +286,11 @@ class TestCommManagement:
                     ep.comm_free(dups[ep.rank])
                     if splits[ep.rank] is not None:
                         ep.comm_free(splits[ep.rank])
-            return (world._ctx_memo.copy(), world._ctx_pickups.copy(),
+            return (world._comm_creations.copy(),
                     [len(ep._coll_seq) for ep in world.endpoints])
 
         assert churn(3) == churn(12)
-        assert world._ctx_memo == {} and world._ctx_pickups == {}
+        assert world._comm_creations == {}
 
     def test_split_comm_is_usable(self):
         engine, world = make_world()

@@ -1,10 +1,11 @@
-"""Call budgets of the MANA hot paths: blocking send/recv, collectives and
-the halo exchange.
+"""Call budgets of the MANA hot paths: blocking send/recv, collectives,
+the halo exchange, and recording and replaying the persistent-call log.
 
 Host wall-clock on a shared machine spreads by 10-15% from run to run, so a
 slower hot path hides in the noise of a timing test.  The number of Python
-calls the simulator makes per simulated operation does not: cProfile counts
-it exactly, and it only moves when the code does.  Each test runs one
+calls the simulator makes per simulated operation does not: cProfile (or,
+for the calls inside given functions, a profile hook) counts it exactly,
+and it only moves when the code does.  Each test runs one
 benchmark workload's MANA job and bounds the primitive calls per operation,
 in total and per layer.  Layers are the module grouping the benchmark's
 per-layer tracer uses (``mana_bench/layers.py``), with the ``mana.*``
@@ -43,7 +44,9 @@ which makes no p2p calls at all.  Measured on CPython 3.11:
 
 "before" built four closures per wrapped call (one of them cyclic), looked
 its counters up by sorted labels, hashed enum members in the handle table
-and copied every allgather value p² times.
+and copied every allgather value p² times.  Cutting the record-replay path
+(below) also cut this one, to 371 calls: builtins 113, mpilib 47, mana
+98; the budgets were tightened to match.
 
 Per p2p message of the halo exchange (``mpi.p2p.recv_messages``): HPCG
 under MANA (32 ranks on 4 Cori nodes, 8 per node, 12 steps, the
@@ -67,6 +70,29 @@ a ``Message`` and a ``meta`` dict per wire send and summed the in-flight
 registry, wrapped every guarded send and every ``all_of`` input in a
 closure, and ran the HPCG vectors through ``np.roll`` and ``mean``.
 
+Per log entry of the record-replay path (§2.2), two figures.  Per
+recorded entry: every call made inside the MANA wrappers that record a
+persistent call (the local ones, and the registration of a created
+communicator), over the ``churn_restart`` workload's commchurn MANA run.
+Per replayed entry: a full-log checkpoint of a 200-step commchurn at 90%
+of its run, its restore onto InfiniBand / Open MPI and the replay, up to
+the moment the ranks resume.  Measured on CPython 3.11:
+
+                  recorded          replayed
+    layer     before  after     before  after
+    builtins     2.6    1.9       16.2    6.4
+    mana         4.2    4.9       14.7    6.2
+    mpilib       1.2    0.8        3.6    3.1
+    simtime        -      -        1.9    1.9
+    total        9.2    7.8       37.9   19.0
+
+"before" built each entry through a frozen dataclass (``object.__setattr__``
+per field, run by generated code outside every layer, which is why
+``mana`` rises), pickled and unpickled it through Python state hooks,
+normalised every restored entry, dispatched replay by ``getattr`` on a
+formatted name with a closure per collective entry, and updated the
+lower half's handle ledger through ``setdefault``/``get``.
+
 The totals also count code outside these layers.  The budgets sit about
 10% above "after", so they hold on every supported CPython; a change that
 puts work back on a hot path trips them.
@@ -75,12 +101,14 @@ puts work back on a hot path trips them.
 import cProfile
 import importlib.util
 import os
+import sys
 from collections import Counter
 
 from repro.apps import get_app, osu
-from repro.hardware.cluster import cori, make_cluster
+from repro.hardware.cluster import cori, local_cluster, make_cluster
 from repro.hardware.kernelmodel import UNPATCHED
-from repro.mana import launch_mana
+from repro.mana import launch_mana, restart
+from repro.mana.wrappers import ManaApi, _TwoPhaseCall
 
 ITERS = 500
 #: two messages per ping-pong iteration
@@ -101,11 +129,11 @@ LAYER_BUDGETS = {
 #: the ``churn_restart`` benchmark's MANA run: commchurn, 8 ranks, 400 steps
 CHURN_STEPS, CHURN_RANKS = 400, 8
 #: primitive calls per lower-half collective, all code (builtins included)
-COLL_TOTAL_BUDGET = 436
+COLL_TOTAL_BUDGET = 408
 #: primitive calls per lower-half collective of each layer
 COLL_LAYER_BUDGETS = {
-    "builtins": 139,
-    "mpilib": 57,
+    "builtins": 124,
+    "mpilib": 52,
     "mana": 106,
     "simtime": 65,
     "mprog": 23,
@@ -128,6 +156,37 @@ HALO_LAYER_BUDGETS = {
     "net": 7,
     "runtime": 5,
     "apps": 3,
+}
+
+#: calls per recorded log entry, all code (builtins included)
+RECORD_TOTAL_BUDGET = 8.6
+#: calls per recorded log entry of each layer
+RECORD_LAYER_BUDGETS = {
+    "builtins": 2.1,
+    "mana": 5.4,
+    "mpilib": 0.9,
+}
+#: the calls that record a persistent call: the MANA wrappers of local
+#: persistent calls, and the registration of a created communicator
+RECORDING_CALLS = (
+    ManaApi.comm_free, ManaApi.comm_group, ManaApi.group_incl,
+    ManaApi.group_excl, ManaApi.group_union, ManaApi.group_intersection,
+    ManaApi.group_free, ManaApi.type_contiguous, ManaApi.type_vector,
+    ManaApi.type_struct, ManaApi.type_free, ManaApi.file_close,
+    _TwoPhaseCall._register,
+)
+
+#: steps of the commchurn run that is checkpointed and replayed, and the
+#: cut as a fraction of its uncheckpointed run
+REPLAY_STEPS, REPLAY_CUT = 200, 0.9
+#: primitive calls per replayed log entry, all code (builtins included)
+REPLAY_TOTAL_BUDGET = 20.8
+#: primitive calls per replayed log entry of each layer
+REPLAY_LAYER_BUDGETS = {
+    "builtins": 7.0,
+    "mana": 6.9,
+    "mpilib": 3.4,
+    "simtime": 2.1,
 }
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -154,6 +213,11 @@ def _module_of(filename: str):
     return ".".join(parts)
 
 
+def _layer_of(code, layer_map: dict):
+    layer = layer_map.get(_module_of(code.co_filename))
+    return None if layer is None else layer.split(".")[0]
+
+
 def _calls_per_op(job, op_metric: str) -> tuple[float, Counter, float]:
     """Run ``job`` to completion under cProfile; returns (primitive calls
     per operation, per-layer calls per operation, operations), where the
@@ -173,9 +237,9 @@ def _calls_per_op(job, op_metric: str) -> tuple[float, Counter, float]:
         if isinstance(code, str):  # a builtin
             layers["builtins"] += calls
             continue
-        layer = layer_map.get(_module_of(code.co_filename))
+        layer = _layer_of(code, layer_map)
         if layer is not None:
-            layers[layer.split(".")[0]] += calls
+            layers[layer] += calls
     ops = job.engine.metrics.total(op_metric)
     return total / ops, Counter({k: v / ops for k, v in layers.items()}), ops
 
@@ -191,15 +255,21 @@ def profile_hot_loop() -> tuple[float, Counter]:
     return total, layers
 
 
+def _churn_job(n_steps: int):
+    """A started MANA commchurn job (8 ranks on 2 Aries nodes, Cray MPICH)
+    of ``n_steps`` steps, and its program."""
+    spec = get_app("commchurn")
+    program = spec.build(spec.default_config.scaled(n_steps=n_steps))
+    cluster = make_cluster("aries", 2, interconnect="aries",
+                           default_mpi="craympich")
+    return launch_mana(cluster, program, n_ranks=CHURN_RANKS,
+                       ranks_per_node=4, app_mem_bytes=1 << 20).start(), program
+
+
 def profile_collectives() -> tuple[float, Counter]:
     """(primitive calls per lower-half collective, per-layer calls per
     lower-half collective) of the ``churn_restart`` benchmark's MANA run."""
-    spec = get_app("commchurn")
-    program = spec.build(spec.default_config.scaled(n_steps=CHURN_STEPS))
-    cluster = make_cluster("aries", 2, interconnect="aries",
-                           default_mpi="craympich")
-    job = launch_mana(cluster, program, n_ranks=CHURN_RANKS,
-                      ranks_per_node=4, app_mem_bytes=1 << 20).start()
+    job, _program = _churn_job(CHURN_STEPS)
     total, layers, colls = _calls_per_op(job, "mpi.coll.ops")
     # five wrapped collectives per step and two at set-up, each of them two
     # lower-half collectives: the trivial barrier, then the real call
@@ -221,6 +291,79 @@ def profile_halo() -> tuple[float, Counter]:
     # (its two z-neighbours coincide), one message from each per step
     assert messages == HALO_STEPS * HALO_RANKS * 5, messages
     return total, layers
+
+
+def profile_recording() -> tuple[float, Counter]:
+    """(calls per recorded log entry, per-layer calls per recorded entry)
+    of the ``churn_restart`` benchmark's MANA run, counting every call made
+    inside :data:`RECORDING_CALLS` (those calls included)."""
+    job, _program = _churn_job(CHURN_STEPS)
+    layer_map = _layer_map()
+    entry_points = {fn.__code__ for fn in RECORDING_CALLS}
+    layers: Counter = Counter()
+    total = depth = 0
+
+    def hook(frame, event, _arg):
+        nonlocal total, depth
+        if event == "call":
+            if depth or frame.f_code in entry_points:
+                depth += 1
+                total += 1
+                layer = _layer_of(frame.f_code, layer_map)
+                if layer is not None:
+                    layers[layer] += 1
+        elif event == "return":
+            if depth:
+                depth -= 1
+        elif event == "c_call" and depth:
+            total += 1
+            layers["builtins"] += 1
+
+    sys.setprofile(hook)
+    try:
+        job.run_to_completion()
+    finally:
+        sys.setprofile(None)
+    entries = sum(len(rt.log) for rt in job.runtimes)
+    # per step and rank: dup, split, two comm frees, a datatype and two
+    # groups created and freed; plus the persistent dup and split
+    assert entries == CHURN_RANKS * (10 * CHURN_STEPS + 2), entries
+    return total / entries, Counter({k: v / entries for k, v in layers.items()})
+
+
+def profile_replay() -> tuple[float, Counter]:
+    """(calls per replayed log entry, per-layer calls per replayed entry)
+    of a full-log checkpoint of commchurn, its restore onto InfiniBand /
+    Open MPI and the replay, up to the moment the ranks resume."""
+    job, _program = _churn_job(REPLAY_STEPS)
+    makespan = job.run_to_completion()
+    job, program = _churn_job(REPLAY_STEPS)
+    job.run_until(REPLAY_CUT * makespan)
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    ckpt, _report = job.checkpoint()
+    resumed = restart(ckpt, local_cluster(2), program, ranks_per_node=4,
+                      mpi="openmpi")
+    while not resumed.resumed.done:
+        resumed.engine.step()
+    profiler.disable()
+
+    entries = resumed.restart_report.replayed_entries
+    assert entries == sum(len(rt.log) for rt in job.runtimes), entries
+    layer_map = _layer_map()
+    total = 0
+    layers: Counter = Counter()
+    for entry in profiler.getstats():
+        calls = entry.callcount - entry.reccallcount
+        total += calls
+        if isinstance(entry.code, str):  # a builtin
+            layers["builtins"] += calls
+            continue
+        layer = _layer_of(entry.code, layer_map)
+        if layer is not None:
+            layers[layer] += calls
+    return total / entries, Counter({k: v / entries for k, v in layers.items()})
 
 
 def _assert_within(total: float, layers: Counter, total_budget: int,
@@ -246,3 +389,10 @@ def test_calls_per_collective_within_budget():
 def test_calls_per_halo_message_within_budget():
     _assert_within(*profile_halo(), HALO_TOTAL_BUDGET, HALO_LAYER_BUDGETS,
                    "msg")
+
+
+def test_calls_per_log_entry_within_budget():
+    _assert_within(*profile_recording(), RECORD_TOTAL_BUDGET,
+                   RECORD_LAYER_BUDGETS, "recorded entry")
+    _assert_within(*profile_replay(), REPLAY_TOTAL_BUDGET,
+                   REPLAY_LAYER_BUDGETS, "replayed entry")
