@@ -174,13 +174,8 @@ def check_replay_consistency(ckpt) -> list[Divergence]:
     consistency`` divergence instead of a wedged restart.
     """
     from repro.mana.log_compaction import check_collective_consistency
-    from repro.mana.record_replay import RecordLog
 
-    logs = []
-    for image in ckpt.images:
-        log = RecordLog()
-        log.restore(image.restore_state()["log"])
-        logs.append(log.entries)
+    logs = [image.restore_state()["log"]["entries"] for image in ckpt.images]
     stuck = check_collective_consistency(logs, ckpt.n_ranks)
     return [
         Divergence(
@@ -202,16 +197,14 @@ def check_replay_accounting(ckpt, report) -> list[Divergence]:
     handles) restart the compactor promises.
     """
     from repro.mana.log_compaction import FREE_OPS
-    from repro.mana.record_replay import RecordLog
 
     entries = frees = 0
     compacted = True
     for image in ckpt.images:
-        log = RecordLog()
-        log.restore(image.restore_state()["log"])
-        entries += len(log.entries)
-        frees += sum(1 for e in log.entries if e.op in FREE_OPS)
-        compacted = compacted and log.compaction_stats is not None
+        log = image.restore_state()["log"]
+        entries += len(log["entries"])
+        frees += sum(1 for e in log["entries"] if e.op in FREE_OPS)
+        compacted = compacted and log["stats"] is not None
     out = []
     if report.replayed_entries != entries:
         out.append(Divergence(

@@ -15,10 +15,21 @@ LOWER (or marked ephemeral) may never be captured.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass, field
 
+from repro.mana.record_replay import LogEntry
+from repro.mana.virtualize import HandleKind
 from repro.memory.region import Half, MemoryRegion
+
+#: Shape version of the restore payload, stamped on every image.  Only this
+#: module knows older shapes (:func:`migrate`); every other reader assumes
+#: the current one.  On a change, bump it, add the step to :func:`migrate`
+#: and commit a new set to ``tests/mana/images``.  In schema 2 (no stamp) a
+#: log is an entry list or a dict, and an entry pickles as its ``__dict__``,
+#: its field tuple or a constructor call.
+SCHEMA = 3
 
 
 class CheckpointError(RuntimeError):
@@ -48,6 +59,8 @@ class CheckpointImage:
     payload: bytes
     #: wall-clock (virtual) time the image was cut
     taken_at: float
+    #: payload shape version the image was written with (see :func:`migrate`)
+    schema: int = SCHEMA
 
     @classmethod
     def capture(
@@ -83,8 +96,13 @@ class CheckpointImage:
         )
 
     def restore_state(self) -> dict:
-        """Unpickle the restore payload."""
-        return pickle.loads(self.payload)
+        """Unpickle the restore payload, in the current shape."""
+        if self.schema == SCHEMA:
+            return pickle.loads(self.payload)
+        if self.schema != 2:
+            raise CheckpointError(f"rank {self.rank}: image schema "
+                                  f"{self.schema} is unknown to this reader")
+        return migrate(_Schema2Unpickler(io.BytesIO(self.payload)).load(), 2)
 
 
 @dataclass
@@ -117,3 +135,71 @@ class CheckpointSet:
         if not 0 <= rank < self.n_ranks:
             raise CheckpointError(f"no image for rank {rank}")
         return self.images[rank]
+
+
+# ------------------------------------------------------------- migration
+
+class _Schema2Entry:
+    """A schema-2 log entry: constructed on its fields, or handed its state."""
+
+    def __init__(self, *fields) -> None:
+        self.state = fields
+
+    def __setstate__(self, state) -> None:
+        self.state = state
+
+
+class _Schema2Unpickler(pickle.Unpickler):
+    """Reads a schema-2 payload, its log entries as :class:`_Schema2Entry`."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.mana.record_replay", "LogEntry"):
+            return _Schema2Entry
+        return super().find_class(module, name)
+
+
+_PAYLOAD_KEYS = (
+    "interp", "app_state", "heap", "counters", "buffer", "log", "table",
+    "icolls", "icoll_ids", "sends_done", "vrequests", "vreq_ids",
+    "vreq_sites", "recv_journal",
+)
+
+
+def _require(mapping: dict, keys: tuple, where: str) -> None:
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise CheckpointError(f"schema-2 image: {where} has no {missing}")
+
+
+def _entry_from_schema2(i: int, state) -> LogEntry:
+    if isinstance(state, dict):
+        _require(state, LogEntry.__slots__, f"log entry {i}")
+        state = tuple(state[name] for name in LogEntry.__slots__)
+    entry = LogEntry(*state)
+    if (entry.result_kind is HandleKind.COMM and entry.result_vid is not None
+            and entry.group is None):
+        raise CheckpointError(f"schema-2 image: log entry {i} "
+                              f"({entry.op}) has no communicator 'group'")
+    if entry.op == "type_create" and len(entry.args) != 1:
+        raise CheckpointError(f"schema-2 image: log entry {i} (type_create) "
+                              f"has {len(entry.args)} args, not (recipe,)")
+    return entry
+
+
+def migrate(state: dict, from_schema: int) -> dict:
+    """Bring a payload unpickled from a ``from_schema`` image to
+    :data:`SCHEMA`.  2 -> 3: entries become :class:`LogEntry` objects and a
+    bare-list log the dict shape.  A shape no committed set holds raises
+    :class:`CheckpointError`.
+    """
+    if from_schema != 2:
+        raise CheckpointError(f"no migration from image schema {from_schema}")
+    _require(state, _PAYLOAD_KEYS, "the payload")
+    log = state["log"]
+    if isinstance(log, list):
+        log = {"entries": log, "local": {}, "stats": None}
+    _require(log, ("entries", "local", "stats"), "'log'")
+    log["entries"] = [_entry_from_schema2(i, e.state)
+                      for i, e in enumerate(log["entries"])]
+    state["log"] = log
+    return state

@@ -37,7 +37,7 @@ collectively-created handles are themselves collective, MPI-2.2 §6.4.3):
   parent's membership, by the same argument.
 
 Membership is tracked symbolically while walking the log (the world
-communicator seeds it; results inherit or record their groups), and the
+communicator seeds it; every communicator result records its group), and the
 :func:`check_collective_consistency` oracle re-derives the global replay
 schedule from all ranks' compacted logs to verify that no rank is left
 waiting on a cancelled participant — the conformance harness runs it on
@@ -56,7 +56,7 @@ and dead chains of ``group_incl``/``group_union``/... vanish entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.mana.virtualize import VCOMM_WORLD, HandleKind
 
@@ -96,7 +96,8 @@ FREE_OPS = {
     "type_free": HandleKind.DATATYPE.value,
 }
 
-_COMM_KEY, _GROUP_KEY = HandleKind.COMM.value, HandleKind.GROUP.value
+_COMM, _COMM_KEY, _GROUP_KEY = (
+    HandleKind.COMM, HandleKind.COMM.value, HandleKind.GROUP.value)
 #: namespaces whose live handles the snapshot fast path restores
 _LOCAL_KINDS = frozenset({HandleKind.GROUP.value, HandleKind.DATATYPE.value})
 _COMM_REF_OPS = frozenset({
@@ -152,29 +153,12 @@ class CompactionResult:
     stats: CompactionStats = field(default_factory=CompactionStats)
 
 
-def comm_membership(entries: list, n_ranks: Optional[int]) -> dict:
-    """Symbolic comm-vid -> frozenset(world ranks), walking the log forward.
-
-    ``None`` values mean *unknown* (an old-shape image without recorded
-    result groups); unknown membership disables every cancellation that
-    needs it — correctness degrades to keeping more, never to pruning more.
-    """
-    members: dict = {
-        VCOMM_WORLD: frozenset(range(n_ranks)) if n_ranks else None,
-    }
+def comm_membership(entries: list, n_ranks: int) -> dict:
+    """Symbolic comm-vid -> frozenset(world ranks), walking the log forward."""
+    members: dict = {VCOMM_WORLD: frozenset(range(n_ranks))}
     for e in entries:
-        if e.op not in COLLECTIVE_CREATE_OPS or e.op == "file_open":
-            continue
-        if e.result_vid is None:
-            continue
-        if e.group is not None:
+        if e.result_kind is _COMM and e.result_vid is not None:
             members[e.result_vid] = frozenset(e.group)
-        elif e.op == "comm_create":
-            members[e.result_vid] = frozenset(e.args[1])
-        elif e.op in ("comm_dup", "cart_create", "graph_create"):
-            members[e.result_vid] = members.get(e.args[0])
-        else:  # comm_split from an old image: membership unrecorded
-            members[e.result_vid] = None
     return members
 
 
@@ -184,26 +168,14 @@ def _cancellable(entry: "LogEntry", members: dict) -> bool:
     Only when every replay participant provably reaches the same decision
     from its own rank-local log (see the module docstring).
     """
-    op = entry.op
-    if op in _MEMBERSHIP_PRESERVING:
+    if entry.op in _MEMBERSHIP_PRESERVING:
         return True
-    parent = members.get(entry.args[0])
-    if parent is None:
-        return False
-    if op == "comm_split":
-        result = members.get(entry.result_vid)
-        return result is not None and result == parent
-    if op == "comm_create":
-        return frozenset(entry.args[1]) == parent
-    return False
+    # comm_split / comm_create: only when the result spans the parent
+    return members[entry.result_vid] == members[entry.args[0]]
 
 
-def compact_log(
-    entries: list,
-    live: dict,
-    n_ranks: Optional[int] = None,
-) -> CompactionResult:
-    """One rank's compaction pass.
+def compact_log(entries: list, live: dict, n_ranks: int) -> CompactionResult:
+    """One rank's compaction pass over the log of an ``n_ranks`` job.
 
     ``entries`` is the full recorded log; ``live`` maps each
     :class:`HandleKind` to the set of virtual ids still bound when the
@@ -304,12 +276,7 @@ def check_collective_consistency(
         pg = gid[r].get(e.args[0])
         if pg is None:
             return False  # parent never materialized here: stuck
-        part = members_of.get(pg)
-        if part is None:
-            # Membership unknown (old image): unverifiable — advance this
-            # rank alone rather than report a false deadlock.
-            ptr[r] += 1
-            return True
+        part = members_of[pg]
         for q in part:
             if ptr[q] >= len(queues[q]):
                 return False
@@ -320,18 +287,13 @@ def check_collective_consistency(
         seq[(pg, e.op)] = k + 1
         for q in part:
             eq = queues[q][ptr[q]]
-            if eq.result_vid is not None and eq.result_kind is HandleKind.COMM:
+            if eq.result_vid is not None and eq.result_kind is _COMM:
                 if e.op == "comm_split":
                     child = (pg, "split", k, eq.args[1])
                 else:
                     child = (pg, e.op, k)
                 gid[q][eq.result_vid] = child
-                if eq.group is not None:
-                    members_of[child] = frozenset(eq.group)
-                elif e.op in ("comm_dup", "cart_create", "graph_create"):
-                    members_of[child] = part
-                elif e.op == "comm_create":
-                    members_of[child] = frozenset(eq.args[1])
+                members_of[child] = frozenset(eq.group)
             ptr[q] += 1
         return True
 

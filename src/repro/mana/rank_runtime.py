@@ -82,10 +82,7 @@ class P2pCounters:
         self.sent = dict(snap["sent"])
         self.sent_total = int(snap["sent_total"])
         self.received_total = int(snap["received_total"])
-        # images taken before the per-source bookmarks existed restore to an
-        # empty map — the topo DAG then over-approximates in-flight traffic
-        # (extra edges / cycle fallback), which is conservative but correct
-        self.received = dict(snap.get("received", {}))
+        self.received = dict(snap["received"])
 
 
 @dataclass
@@ -782,9 +779,7 @@ class ManaRankRuntime:
         """The picklable restore payload (everything upper-half)."""
         log_snap = self.log.snapshot(compact=self.options.compact, table=self.table,
                                      n_ranks=self.n_ranks)
-        self.last_compaction = (
-            log_snap.get("stats") if isinstance(log_snap, dict) else None
-        )
+        self.last_compaction = log_snap["stats"]
         return {
             "interp": self.driver.interp.snapshot(),
             "app_state": dict(self.driver.interp.state),
@@ -869,26 +864,22 @@ class ManaRankRuntime:
         self.buffer.restore(state["buffer"])
         self.proc.heap.restore_payload(state["heap"])
         self.icolls = {}
-        for vreq, op, vcomm, args, done, value in state.get("icolls", ()):
+        for vreq, op, vcomm, args, done, value in state["icolls"]:
             self.icolls[vreq] = IColl(vreq=vreq, op=op, vcomm=vcomm,
                                       args=args, done=done, value=value)
-        self._icoll_ids = state.get("icoll_ids", self._icoll_ids)
-        self.sends_done = dict(state.get("sends_done", {}))
+        self._icoll_ids = state["icoll_ids"]
+        self.sends_done = dict(state["sends_done"])
         self._send_seq = {}
         self.vrequests = {}
-        for vreq, kind, vcomm, src, tag, done, value in state.get(
-                "vrequests", ()):
+        for vreq, kind, vcomm, src, tag, done, value in state["vrequests"]:
             self.vrequests[vreq] = VRequest(
                 vreq=vreq, kind=kind, vcomm=vcomm, src_world=src, tag=tag,
                 done=done, value=value,
             )
-        self._vreq_ids = state.get("vreq_ids", self._vreq_ids)
-        self.vreq_sites = {k: list(v) for k, v in
-                           state.get("vreq_sites", {}).items()}
+        self._vreq_ids = state["vreq_ids"]
+        self.vreq_sites = {k: list(v) for k, v in state["vreq_sites"].items()}
         self._vreq_seq = {}
-        self.recv_journal = {
-            k: dict(v) for k, v in state.get("recv_journal", {}).items()
-        }
+        self.recv_journal = {k: dict(v) for k, v in state["recv_journal"].items()}
         self._recv_seq = {}
         self.driver.interp.state.clear()
         self.driver.interp.state.update(state["app_state"])

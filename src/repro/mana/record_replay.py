@@ -55,16 +55,13 @@ class LogEntry:
     fresh collective recomputes the membership — but checkpoint-time
     compaction does: a ``comm_split`` may only cancel when its recorded
     result membership equals the parent's (see
-    :mod:`repro.mana.log_compaction`).  ``None`` on non-comm entries and on
-    entries restored from images that predate the field.
+    :mod:`repro.mana.log_compaction`).  ``None`` on every other entry.
 
     A long log holds one entry per persistent call ever made, so entries
     are slotted (no per-instance ``__dict__``) and built by a plain
     ``__init__``.  Nothing mutates an entry once it is recorded.  An entry
     pickles as a call of the class on its field values, so writing and
-    reading a log runs no Python hook beyond the constructor.  Images
-    written before that hold each entry's pickled *state* instead, which
-    :meth:`__setstate__` reads.
+    reading a log runs no Python hook beyond the constructor.
     """
 
     __slots__ = ("op", "args", "result_vid", "result_kind", "group")
@@ -96,24 +93,6 @@ class LogEntry:
         return (LogEntry, (self.op, self.args, self.result_vid,
                            self.result_kind, self.group))
 
-    def __setstate__(self, state: Any) -> None:
-        """Read an entry from an image written before entries pickled as
-        constructor calls, and bring it to the current shape.
-
-        * Entries of unslotted images pickled their ``__dict__``, possibly
-          without ``result_kind`` or ``group``; slotted entries before this
-          format pickled the tuple of field values.
-        * ``type_create`` used to carry the vid redundantly in ``args``
-          next to ``result_vid``; the args shrink to ``(recipe,)``.
-        """
-        if isinstance(state, dict):
-            state = (state["op"], state["args"], state["result_vid"],
-                     state.get("result_kind", HandleKind.COMM),
-                     state.get("group"))
-        LogEntry.__init__(self, *state)
-        if self.op == "type_create" and len(self.args) == 2:
-            self.args = self.args[:1]
-
 
 class RecordLog:
     """Ordered per-rank log of persistent calls.
@@ -129,8 +108,6 @@ class RecordLog:
         self.entries: list[LogEntry] = []
         #: kind name -> {vid -> ("group", ranks) | ("datatype", recipe)}
         self.local_bindings: dict[str, dict[int, tuple]] = {}
-        #: stats of the compaction pass that produced this log (if any)
-        self.compaction_stats: Optional[dict] = None
 
     def record(self, op: str, args: tuple, result_vid: Optional[int],
                result_kind: HandleKind = HandleKind.COMM,
@@ -164,17 +141,12 @@ class RecordLog:
 
     def snapshot(self, compact: bool = False,
                  table: Optional[VirtualHandleTable] = None,
-                 n_ranks: Optional[int] = None) -> Any:
-        """Picklable representation for the checkpoint image.
-
-        Plain mode returns the bare entry list (the historical shape)
-        unless local bindings must ride along; ``compact=True`` runs the
-        :mod:`~repro.mana.log_compaction` pass against the live table and
-        returns the pruned dict form.  ``restore`` accepts every shape.
-        """
+                 n_ranks: Optional[int] = None) -> dict:
+        """Picklable ``{"entries", "local", "stats"}`` form for the image:
+        the whole log, or with ``compact=True`` the log as the
+        :mod:`~repro.mana.log_compaction` pass of an ``n_ranks`` job prunes
+        it against the live table."""
         if not compact:
-            if not self.local_bindings:
-                return list(self.entries)
             return {
                 "entries": list(self.entries),
                 "local": {k: dict(v) for k, v in self.local_bindings.items()},
@@ -194,22 +166,11 @@ class RecordLog:
             "stats": result.stats.as_dict(),
         }
 
-    def restore(self, snap: Any) -> None:
-        """Install state captured by :meth:`snapshot` (any historical shape)."""
-        if isinstance(snap, dict):
-            entries = snap["entries"]
-            self.local_bindings = {
-                k: dict(v) for k, v in snap.get("local", {}).items()
-            }
-            self.compaction_stats = snap.get("stats")
-        else:
-            entries = snap
-            self.local_bindings = {}
-            self.compaction_stats = None
-        # Unpickling brought entries of older images to the current shape
-        # (LogEntry.__setstate__), and nothing else holds a snapshot's
-        # list: it becomes the log as it is.
-        self.entries = entries
+    def restore(self, snap: dict) -> None:
+        """Install state captured by :meth:`snapshot`.  Nothing else holds
+        a restored snapshot's entry list: it becomes the log as it is."""
+        self.entries = snap["entries"]
+        self.local_bindings = {k: dict(v) for k, v in snap["local"].items()}
 
 
 class ReplayEngine:

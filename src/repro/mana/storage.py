@@ -13,12 +13,12 @@ Layout::
       rank_00000.img       pickled restore payload of rank 0
       rank_00001.img       ...
 
-Each image file starts with a fixed header (magic, rank, modeled size,
-``taken_at``), followed by the region table (a little-endian u64 length,
-then the pickled region rows) and then the pickled payload.  The header
-holds no version field: the magic ``MANAIMG1`` is the only format tag.
-The manifest records a SHA-256 of every file so corruption is detected at
-load time.
+Each image file starts with a fixed header (magic ``MANAIMG2``, rank,
+modeled size, ``taken_at``, payload schema: outside the pickle, as the
+loader needs it before it unpickles), the region table (a u64 length, then
+the pickled region rows) and the pickled payload.  Files with the older
+``MANAIMG1`` header lack the schema and are read as schema 2.  The manifest
+records a SHA-256 of every file so corruption is detected at load time.
 """
 
 from __future__ import annotations
@@ -37,12 +37,15 @@ from repro.mana.checkpoint_image import (
     RegionDescriptor,
 )
 
-_MAGIC = b"MANAIMG1"
-_HEADER = struct.Struct("<8sIQd")   # magic, rank, modeled size, taken_at
+_MAGIC = b"MANAIMG2"
+_HEADER = struct.Struct("<8sIQdI")  # magic, rank, modeled size, taken_at, schema
+#: the header of schema-2 files: the same fields but the schema
+_MAGIC_1, _HEADER_1 = b"MANAIMG1", struct.Struct("<8sIQd")
 
 
 def _image_bytes(image: CheckpointImage) -> bytes:
-    header = _HEADER.pack(_MAGIC, image.rank, image.size_bytes, image.taken_at)
+    header = _HEADER.pack(_MAGIC, image.rank, image.size_bytes,
+                          image.taken_at, image.schema)
     regions = pickle.dumps(
         [(d.name, d.kind, d.perm, d.size) for d in image.regions],
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -51,10 +54,13 @@ def _image_bytes(image: CheckpointImage) -> bytes:
 
 
 def _image_from_bytes(blob: bytes) -> CheckpointImage:
-    magic, rank, size_bytes, taken_at = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise CheckpointError("not a MANA image file (bad magic)")
-    off = _HEADER.size
+    magic, rank, size_bytes, taken_at = _HEADER_1.unpack_from(blob, 0)
+    if magic == _MAGIC:
+        schema, off = _HEADER.unpack_from(blob, 0)[-1], _HEADER.size
+    elif magic == _MAGIC_1:
+        schema, off = 2, _HEADER_1.size
+    else:
+        raise CheckpointError(f"not a MANA image file (magic {magic!r})")
     (rlen,) = struct.unpack_from("<Q", blob, off)
     off += 8
     regions = tuple(
@@ -62,7 +68,7 @@ def _image_from_bytes(blob: bytes) -> CheckpointImage:
     )
     payload = blob[off + rlen:]
     return CheckpointImage(rank=rank, size_bytes=size_bytes, regions=regions,
-                           payload=payload, taken_at=taken_at)
+                           payload=payload, taken_at=taken_at, schema=schema)
 
 
 def save_checkpoint(ckpt: CheckpointSet, directory: Union[str, pathlib.Path]) -> pathlib.Path:
@@ -74,6 +80,11 @@ def save_checkpoint(ckpt: CheckpointSet, directory: Union[str, pathlib.Path]) ->
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
+    if manifest_path.exists():
+        held = json.loads(manifest_path.read_text())["n_ranks"]
+        if held != ckpt.n_ranks:
+            raise CheckpointError(f"{directory} holds a {held}-rank "
+                                  f"checkpoint, not {ckpt.n_ranks} ranks")
     entries = []
     for image in ckpt.images:
         blob = _image_bytes(image)
@@ -90,10 +101,12 @@ def save_checkpoint(ckpt: CheckpointSet, directory: Union[str, pathlib.Path]) ->
         "format": "mana-checkpoint/1",
         "n_ranks": ckpt.n_ranks,
         "total_modeled_bytes": ckpt.total_bytes,
-        "meta": _jsonable(ckpt.meta),
+        "meta": ckpt.meta,
         "images": entries,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    # meta values JSON cannot hold are stored as their repr
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True, default=repr))
     return manifest_path
 
 
@@ -119,7 +132,11 @@ def load_checkpoint(directory: Union[str, pathlib.Path]) -> CheckpointSet:
                 f"(digest mismatch)"
             )
         images.append(_image_from_bytes(blob))
-    return CheckpointSet(images=images, meta=dict(manifest.get("meta", {})))
+    ckpt = CheckpointSet(images=images, meta=dict(manifest["meta"]))
+    if ckpt.n_ranks != manifest["n_ranks"]:  # the set checks ranks 0..n-1
+        raise CheckpointError(f"manifest lists {ckpt.n_ranks} images for "
+                              f"{manifest['n_ranks']} ranks")
+    return ckpt
 
 
 def describe_checkpoint(directory: Union[str, pathlib.Path]) -> dict:
@@ -128,6 +145,7 @@ def describe_checkpoint(directory: Union[str, pathlib.Path]) -> dict:
     per_rank = [img.size_bytes for img in ckpt.images]
     return {
         "n_ranks": ckpt.n_ranks,
+        "schema": ckpt.images[0].schema if ckpt.images else None,
         "total_modeled_bytes": ckpt.total_bytes,
         "per_rank_modeled_bytes": per_rank,
         "taken_at": ckpt.images[0].taken_at if ckpt.images else None,
@@ -136,14 +154,3 @@ def describe_checkpoint(directory: Union[str, pathlib.Path]) -> dict:
             (d.name, d.size) for d in ckpt.images[0].regions
         ] if ckpt.images else [],
     }
-
-
-def _jsonable(obj):
-    """Best-effort conversion of checkpoint meta to JSON-safe values."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)

@@ -180,11 +180,9 @@ class VirtualHandleTable:
         objects are supplied by :meth:`rebind` during replay).  The
         snapshot's bound-vid sets become the rebind entitlement."""
         for key, reals in self._real.items():
-            self._next[key] = snap["next"].get(key, 1000)
+            self._next[key] = snap["next"][key]
             reals.clear()
-            self._expected[key] = set(
-                int(v) for v in snap["bound"].get(key, ())
-            )
+            self._expected[key] = set(map(int, snap["bound"][key]))
 
     def clear_reals(self) -> list[tuple[HandleKind, int]]:
         """Forget every real object (the lower half is being discarded);

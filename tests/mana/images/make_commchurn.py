@@ -8,15 +8,20 @@ restarts it onto InfiniBand/Open MPI and writes the restarted run's final
 state fingerprint to ``OUTDIR/golden.json``.
 
 Each committed set was written by the code of one image format, and stays
-as it was written:
+as it was written.  The first three have the ``MANAIMG1`` file header and
+are read as image schema 2 (see :mod:`repro.mana.checkpoint_image`):
 
 * ``commchurn_v1``: ``LogEntry`` was a plain frozen dataclass (pickled
   state: the instance ``__dict__``);
+* ``commchurn_v1_tuple``: ``LogEntry`` was a slotted frozen dataclass
+  (pickled state: the tuple of its field values);
 * ``commchurn_v2``: log entries pickle as calls of ``LogEntry`` on their
-  field values.
+  field values;
+* ``commchurn_v3``: schema 3, stamped in the ``MANAIMG2`` file header; the
+  log is always ``{"entries", "local", "stats"}``.
 
 Running this script writes images in the current format.  When the image
-format changes again, write a new versioned directory with it; do not
+schema changes again, write a new versioned directory with it; do not
 rewrite the committed sets.
 """
 

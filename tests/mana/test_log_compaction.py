@@ -122,18 +122,6 @@ def test_nonmember_entry_always_kept():
     assert result.entries == entries
 
 
-def test_unknown_membership_degrades_to_keeping():
-    # an old image without recorded result groups: the split may be a
-    # subset, so the pair must survive
-    entries = [
-        _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000, group=None),
-        _entry("comm_free", (1000,), None),
-    ]
-    result = compact_log(entries, _no_live(), n_ranks=4)
-    assert len(result.entries) == 2
-    assert result.stats.cancelled_pairs == 0
-
-
 def test_comm_create_cancels_only_on_full_membership():
     full = [
         _entry("comm_create", (VCOMM_WORLD, WORLD4), 1000, group=WORLD4),
@@ -241,45 +229,6 @@ def test_group_entry_without_result_vid_is_typed_error():
     replay.start()
     engine.run()
     assert isinstance(replay.finished.value, ReplayError)
-
-
-def _unpickled_old_entry(state) -> LogEntry:
-    """An entry as unpickling an older image builds it: a bare instance,
-    then its pickled state (what pickle's NEWOBJ and BUILD do)."""
-    entry = LogEntry.__new__(LogEntry)
-    entry.__setstate__(state)
-    return entry
-
-
-def test_old_style_type_create_args_normalized():
-    """Images from before this change carry ``(recipe, vid)`` args; reading
-    them must shrink the args to ``(recipe,)`` and replay from result_vid."""
-    from repro.mpilib.datatypes import contiguous
-
-    dt = contiguous(4, DOUBLE)
-    old = _unpickled_old_entry(("type_create", (dt.recipe, 2000), 2000,
-                                HandleKind.DATATYPE, None))
-    log = RecordLog()
-    log.restore([old])
-    assert log.entries[0].args == (dt.recipe,)
-
-    engine = Engine()
-    table = _world_table()
-    replay = ReplayEngine(engine, None, table, log)
-    replay.start()
-    engine.run()
-    assert replay.finished.value == 1
-    assert table.resolve(HandleKind.DATATYPE, 2000).extent == dt.extent
-
-
-def test_restored_entries_without_group_field():
-    """Entries of old images were pickled without the ``group`` field;
-    reading them must default it to None (= never cancel)."""
-    clone = _unpickled_old_entry({"op": "comm_dup", "args": (VCOMM_WORLD,),
-                                  "result_vid": 1000})
-    log = RecordLog()
-    log.restore([clone])
-    assert log.entries[0].group is None
 
 
 # ------------------------------------------------------------- end to end

@@ -1,11 +1,14 @@
 """On-disk checkpoint persistence: save / load / verify / restart-from-disk."""
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
 from repro.hardware.cluster import make_cluster
 from repro.mana import CheckpointError, restart
+from repro.mana.checkpoint_image import SCHEMA, CheckpointSet
 from repro.mana.storage import describe_checkpoint, load_checkpoint, save_checkpoint
 
 from tests.mana.conftest import allreduce_factory, launch_small
@@ -77,6 +80,28 @@ def test_bad_magic_detected(cluster, checkpoint, tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_truncated_manifest_detected(tmp_path):
+    """A manifest whose image list lost an entry must not load as a
+    smaller job."""
+    directory = tmp_path / "ckpt"
+    shutil.copytree(pathlib.Path(__file__).parent / "images" / "commchurn_v2",
+                    directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest["images"][-1]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="3 images for 4 ranks"):
+        load_checkpoint(directory)
+
+
+def test_save_refuses_a_different_rank_count(checkpoint, tmp_path):
+    save_checkpoint(checkpoint, tmp_path / "ckpt")
+    two = CheckpointSet(images=checkpoint.images[:2], meta=checkpoint.meta)
+    with pytest.raises(CheckpointError, match="4-rank"):
+        save_checkpoint(two, tmp_path / "ckpt")
+    assert load_checkpoint(tmp_path / "ckpt").n_ranks == 4
+    save_checkpoint(checkpoint, tmp_path / "ckpt")  # same count: rewritten
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(CheckpointError, match="no checkpoint manifest"):
         load_checkpoint(tmp_path)
@@ -86,6 +111,7 @@ def test_describe_checkpoint(cluster, checkpoint, tmp_path):
     save_checkpoint(checkpoint, tmp_path / "ckpt")
     info = describe_checkpoint(tmp_path / "ckpt")
     assert info["n_ranks"] == 4
+    assert info["schema"] == SCHEMA
     assert info["total_modeled_bytes"] == checkpoint.total_bytes
     assert any(name == "app-data" for name, _size in info["regions_rank0"])
     assert info["meta"]["source_mpi"] == "mpich"  # the cluster's default
