@@ -8,10 +8,10 @@ constant — the adversarial workload for restart cost, and the one
 checkpoint-time log compaction (docs/record_replay.md) flattens.
 
 Two communicators are created once and kept for the whole run (a dup of
-the world and a split of that dup), so compaction's liveness analysis must
-pin their parent chain while cancelling everything else.  Each step's
-allreduce results feed the checksum, making the conformance fingerprint
-sensitive to any replay divergence.
+the world and a split of that dup): a compacted image describes exactly
+those two, as two equal-membership communicators, and none of the churn.
+Each step's allreduce results feed the checksum, making the conformance
+fingerprint sensitive to any replay divergence.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def _persist_dup(state, api):
 
 
 def _persist_split(state, api):
-    # Uniform colour on the persistent dup: full-membership, stays live —
-    # the liveness analysis must pin the dup it derives from.
+    # Uniform colour on the persistent dup: full membership, stays live.
     return api.comm_split(color=0, key=state["rank"], comm=state["pdup"])
 
 
@@ -71,8 +70,7 @@ def _ephemeral_dup(state, api):
 
 
 def _ephemeral_split(state, api):
-    # Same colour on every rank each step: full parent membership, so the
-    # freed pair is cancellable cross-rank-consistently.
+    # Same colour on every rank each step: full parent membership.
     return api.comm_split(color=state["step"] % 3, key=state["rank"])
 
 
@@ -88,8 +86,8 @@ def _esplit_reduce(state, api):
 
 def _free_ephemerals(state, api):
     """Free this step's churned handles: both comms, a derived datatype
-    and two groups (created and retired in one go — the local fast path
-    elides all of it from a compacted log)."""
+    and two groups (created and retired in one go: none of it reaches a
+    compacted image)."""
     api.comm_free(state.pop("edup"))
     api.comm_free(state.pop("esplit"))
     tvid = api.type_contiguous(2 + state["step"] % 7, DOUBLE)

@@ -568,9 +568,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (2, with a one-line
+    message on stderr, for a checkpoint that cannot be saved, loaded or
+    replayed)."""
+    from repro.mana.checkpoint_image import CheckpointError
+    from repro.mana.record_replay import ReplayError
+
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out if out is not None else sys.stdout)
+    try:
+        return _COMMANDS[args.command](
+            args, out if out is not None else sys.stdout)
+    except (CheckpointError, ReplayError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

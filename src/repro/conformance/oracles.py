@@ -165,24 +165,28 @@ def check_golden_state(golden_fingerprint: str,
 def check_replay_consistency(ckpt) -> list[Divergence]:
     """Replay-deadlock oracle over a checkpoint set's record-replay logs.
 
-    Unpickles every rank's restore payload and runs the cross-rank
-    collective-consistency check (:func:`repro.mana.log_compaction.
-    check_collective_consistency`) over the logs as they would replay at
-    restart.  A compaction pass that cancelled a collective create on some
-    ranks but not their peers — the failure mode the per-rank cancellation
-    rules are designed to make impossible — lands here as a ``replay_
-    consistency`` divergence instead of a wedged restart.
+    A compacted log rebuilds each live communicator in one
+    ``comm_create_group`` over its members, keyed ``(world_ranks, k)``
+    (:mod:`repro.mana.log_compaction`).  Every key a rank holds must be held
+    by every member the key lists, or that rank waits at restart for a peer
+    that never comes; each missing holder is a ``replay_consistency``
+    divergence.
     """
-    from repro.mana.log_compaction import check_collective_consistency
-
-    logs = [image.restore_state()["log"]["entries"] for image in ckpt.images]
-    stuck = check_collective_consistency(logs, ckpt.n_ranks)
+    held = [
+        {e.args[:2] for e in image.restore_state()["log"]["entries"]
+         if e.op == "comm_create_group"}
+        for image in ckpt.images
+    ]
     return [
         Divergence(
             oracle="replay_consistency", expected="all ranks drain",
-            actual=line, detail="record-replay logs would deadlock at restart",
+            actual=f"rank {rank} holds comm_create_group {key}, "
+                   f"member {member} does not",
+            detail="record-replay logs would deadlock at restart",
         )
-        for line in stuck
+        for rank, keys in enumerate(held) for key in sorted(keys)
+        for member in key[0]
+        if member >= len(held) or key not in held[member]
     ]
 
 
@@ -191,37 +195,18 @@ def check_replay_accounting(ckpt, report) -> list[Divergence]:
 
     ``report.replayed_entries`` (summed over ranks) must equal the total
     number of entries stored in the images — a wedged pump, a skipped
-    entry, or a double replay all break the equality.  When the logs were
-    compacted and retain no free entries (every dead pair cancelled), the
-    same number is the job's live created-handle count: the O(live
-    handles) restart the compactor promises.
+    entry, or a double replay all break the equality.
     """
-    from repro.mana.log_compaction import FREE_OPS
-
-    entries = frees = 0
-    compacted = True
-    for image in ckpt.images:
-        log = image.restore_state()["log"]
-        entries += len(log["entries"])
-        frees += sum(1 for e in log["entries"] if e.op in FREE_OPS)
-        compacted = compacted and log["stats"] is not None
-    out = []
-    if report.replayed_entries != entries:
-        out.append(Divergence(
-            oracle="replay_accounting", expected=entries,
-            actual=report.replayed_entries,
-            detail="restart replayed a different entry count than the "
-                   "images hold",
-        ))
-    if compacted and frees == 0 and report.replayed_entries != entries:
-        # redundant with the check above today, but states the contract:
-        # a fully-cancelled compacted log replays one entry per live handle
-        out.append(Divergence(
-            oracle="replay_accounting", expected=entries,
-            actual=report.replayed_entries,
-            detail="compacted restart did not run in O(live handles)",
-        ))
-    return out
+    entries = sum(len(image.restore_state()["log"]["entries"])
+                  for image in ckpt.images)
+    if report.replayed_entries == entries:
+        return []
+    return [Divergence(
+        oracle="replay_accounting", expected=entries,
+        actual=report.replayed_entries,
+        detail="restart replayed a different entry count than the images "
+               "hold",
+    )]
 
 
 def check_handle_ledger(job) -> list[Divergence]:
@@ -242,7 +227,8 @@ def check_handle_ledger(job) -> list[Divergence]:
             # closed files can stay bound in the table (vid reuse is
             # illegal); count only the ones still open
             bound = sum(
-                sum(1 for f in rt.table.bound(hkind).values() if not f.closed)
+                sum(1 for f in rt.table.bound(hkind).values()
+                    if not f.real.closed)
                 for rt in job.runtimes
             )
         else:

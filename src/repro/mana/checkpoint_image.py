@@ -20,7 +20,6 @@ import pickle
 from dataclasses import dataclass, field
 
 from repro.mana.record_replay import LogEntry
-from repro.mana.virtualize import HandleKind
 from repro.memory.region import Half, MemoryRegion
 
 #: Shape version of the restore payload, stamped on every image.  Only this
@@ -28,8 +27,9 @@ from repro.memory.region import Half, MemoryRegion
 #: the current one.  On a change, bump it, add the step to :func:`migrate`
 #: and commit a new set to ``tests/mana/images``.  In schema 2 (no stamp) a
 #: log is an entry list or a dict, and an entry pickles as its ``__dict__``,
-#: its field tuple or a constructor call.
-SCHEMA = 3
+#: its field tuple or a constructor call.  In schema 3 an entry is a
+#: constructor call with a fifth field, the result communicator's members.
+SCHEMA = 4
 
 
 class CheckpointError(RuntimeError):
@@ -99,10 +99,11 @@ class CheckpointImage:
         """Unpickle the restore payload, in the current shape."""
         if self.schema == SCHEMA:
             return pickle.loads(self.payload)
-        if self.schema != 2:
+        if self.schema not in (2, 3):
             raise CheckpointError(f"rank {self.rank}: image schema "
                                   f"{self.schema} is unknown to this reader")
-        return migrate(_Schema2Unpickler(io.BytesIO(self.payload)).load(), 2)
+        return migrate(_OldUnpickler(io.BytesIO(self.payload)).load(),
+                       self.schema)
 
 
 @dataclass
@@ -139,8 +140,9 @@ class CheckpointSet:
 
 # ------------------------------------------------------------- migration
 
-class _Schema2Entry:
-    """A schema-2 log entry: constructed on its fields, or handed its state."""
+class _OldEntry:
+    """A schema-2/3 log entry: constructed on its fields, or handed its
+    state."""
 
     def __init__(self, *fields) -> None:
         self.state = fields
@@ -149,12 +151,12 @@ class _Schema2Entry:
         self.state = state
 
 
-class _Schema2Unpickler(pickle.Unpickler):
-    """Reads a schema-2 payload, its log entries as :class:`_Schema2Entry`."""
+class _OldUnpickler(pickle.Unpickler):
+    """Reads a schema-2/3 payload, its log entries as :class:`_OldEntry`."""
 
     def find_class(self, module: str, name: str):
         if (module, name) == ("repro.mana.record_replay", "LogEntry"):
-            return _Schema2Entry
+            return _OldEntry
         return super().find_class(module, name)
 
 
@@ -168,38 +170,35 @@ _PAYLOAD_KEYS = (
 def _require(mapping: dict, keys: tuple, where: str) -> None:
     missing = [key for key in keys if key not in mapping]
     if missing:
-        raise CheckpointError(f"schema-2 image: {where} has no {missing}")
+        raise CheckpointError(f"old image: {where} has no {missing}")
 
 
-def _entry_from_schema2(i: int, state) -> LogEntry:
+def _entry_from_old(i: int, state) -> LogEntry:
     if isinstance(state, dict):
         _require(state, LogEntry.__slots__, f"log entry {i}")
         state = tuple(state[name] for name in LogEntry.__slots__)
-    entry = LogEntry(*state)
-    if (entry.result_kind is HandleKind.COMM and entry.result_vid is not None
-            and entry.group is None):
-        raise CheckpointError(f"schema-2 image: log entry {i} "
-                              f"({entry.op}) has no communicator 'group'")
+    # a fifth field, the result communicator's members, is dropped
+    entry = LogEntry(*state[:len(LogEntry.__slots__)])
     if entry.op == "type_create" and len(entry.args) != 1:
-        raise CheckpointError(f"schema-2 image: log entry {i} (type_create) "
+        raise CheckpointError(f"old image: log entry {i} (type_create) "
                               f"has {len(entry.args)} args, not (recipe,)")
     return entry
 
 
 def migrate(state: dict, from_schema: int) -> dict:
     """Bring a payload unpickled from a ``from_schema`` image to
-    :data:`SCHEMA`.  2 -> 3: entries become :class:`LogEntry` objects and a
-    bare-list log the dict shape.  A shape no committed set holds raises
-    :class:`CheckpointError`.
+    :data:`SCHEMA`.  2 -> 4: a bare-list log takes the dict shape.  2 or
+    3 -> 4: entries become 4-field :class:`LogEntry` objects.  A shape no
+    committed set holds raises :class:`CheckpointError`.
     """
-    if from_schema != 2:
+    if from_schema not in (2, 3):
         raise CheckpointError(f"no migration from image schema {from_schema}")
     _require(state, _PAYLOAD_KEYS, "the payload")
     log = state["log"]
     if isinstance(log, list):
         log = {"entries": log, "local": {}, "stats": None}
     _require(log, ("entries", "local", "stats"), "'log'")
-    log["entries"] = [_entry_from_schema2(i, e.state)
+    log["entries"] = [_entry_from_old(i, e.state)
                       for i, e in enumerate(log["entries"])]
     state["log"] = log
     return state

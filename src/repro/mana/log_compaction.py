@@ -4,133 +4,51 @@ MANA's record log grows with *call history*: a job that churns
 communicators, datatypes or files for a month replays every one of those
 calls at restart, even though almost all of them created handles that were
 freed long ago.  The implementation-oblivious line of work (PAPERS.md,
-arXiv:2309.14996) prunes the log at checkpoint time so restart cost tracks
-*live* handles instead.  This module is that pass.
+arXiv:2309.14996) rebuilds each live MPI object from a *descriptor* instead
+of replaying its history, so restart cost tracks live handles.  This module
+is that pass: it ignores what the log holds and describes the virtual-handle
+table as it stands when the image is cut.
 
-Three mechanisms, applied per rank over the rank-local log:
+**Communicators.**  Each live communicator other than ``VCOMM_WORLD``
+becomes one ``comm_create_group`` entry with args ``(world_ranks, k,
+topology)``: its members in rank order, its index ``k`` among this rank's
+rebuilt communicators with the same member tuple (in vid order), and its
+Cartesian or graph topology, if any.  Replay recreates it in one
+MPI_Comm_create_group over its members only, under its old vid.
 
-**Dead-handle elimination.**  A create whose result handle was freed again
-before the checkpoint — and whose handle is not referenced by any entry the
-compactor keeps — cancels together with its free.  Liveness flows backward
-through the handle-dependency DAG: a kept entry pins the creates of every
-virtual id it references (a live sub-sub-communicator pins its parent's
-split, which pins the grandparent's dup, ...).
+**Order.**  Entries are sorted by ``(world_ranks, k)``.  Every member
+computes the same key for the same communicator: collective creates are
+totally ordered on each member, and vids are minted in call order.  Any
+total order of keys shared by all ranks replays without deadlock — the
+smallest pending key always has all of its members waiting on it.
 
-**Cross-rank-consistent collective cancellation.**  Communicator-management
-entries are genuine collectives at replay: every member of the parent
-communicator must replay the entry or none may, or the survivors block in
-:meth:`~repro.mpilib.world.MpiWorld.collective_arrive` forever.  Each rank
-compacts alone, so cancellation is restricted to predicates that are
-provably *symmetric* across the participants under MPI semantics (frees of
-collectively-created handles are themselves collective, MPI-2.2 §6.4.3):
+**Files.**  Each live file becomes a ``file_open`` on its recreated
+communicator, right after that communicator's entry (files on the world
+communicator come first).  If the communicator itself was freed, it is
+recreated under its old vid, the files are opened on it, and a
+``comm_free`` retires the vid again.
 
-* ``comm_dup`` / ``cart_create`` / ``graph_create`` / ``file_open``
-  preserve the parent's membership — every participant holds a pair-freed
-  create exactly when this rank does, so a pair-freed, unreferenced entry
-  cancels everywhere.
-* ``comm_split`` cancels only when the *recorded result membership* equals
-  the parent's membership (single colour, nobody undefined): then the
-  participant set saw identical histories.  Proper-subset splits and
-  non-member entries (``result_vid is None``) are always kept — the
-  non-members cannot observe the members' liveness, so nobody cancels.
-* ``comm_create`` cancels only when the recorded target group equals the
-  parent's membership, by the same argument.
-
-Membership is tracked symbolically while walking the log (the world
-communicator seeds it; every communicator result records its group), and the
-:func:`check_collective_consistency` oracle re-derives the global replay
-schedule from all ranks' compacted logs to verify that no rank is left
-waiting on a cancelled participant — the conformance harness runs it on
-every compacted checkpoint.
-
-**Local-entry elision (the snapshot fast path).**  Datatype and
-group-algebra entries are local in MPI: nothing in a kept collective entry
-ever references them (``comm_create`` records resolved world ranks, not
-group vids), so *all* of them leave the log.  Live GROUP/DATATYPE handles
-are instead captured as value snapshots straight from the virtual-handle
-table (a group is its world-rank tuple, a datatype its constructor recipe)
-and restored by direct table binding at replay start — no re-execution,
-and dead chains of ``group_incl``/``group_union``/... vanish entirely.
+**Groups and datatypes** are local in MPI: their live handles ride as value
+bindings (a group is its world-rank tuple, a datatype its constructor
+recipe) restored by direct table binding at replay start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.mana.virtualize import VCOMM_WORLD, HandleKind
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle (record_replay imports us)
-    from repro.mana.record_replay import LogEntry
-
-
-#: Collective creates: replaying one is a real collective over the parent
-#: communicator's membership in the fresh lower half.
-COLLECTIVE_CREATE_OPS = frozenset({
-    "comm_dup", "comm_split", "comm_create", "cart_create", "graph_create",
-    "file_open",
-})
-
-#: Collective creates that provably preserve the parent's membership (and
-#: whose frees are collective over that same membership): pair-freed,
-#: unreferenced instances cancel symmetrically on every participant.
-_MEMBERSHIP_PRESERVING = frozenset({
-    "comm_dup", "cart_create", "graph_create", "file_open",
-})
-
-#: Purely local creates: elided wholesale by the snapshot fast path.
-LOCAL_CREATE_OPS = frozenset({
-    "type_create", "comm_group", "group_incl", "group_excl",
-    "group_union", "group_intersection",
-})
-
-#: Free/retire ops, with the handle namespace they operate on (the kind's
-#: value: compaction keys handles by ``(kind value, vid)``, as the
-#: virtual-handle table does, because hashing an enum member is a
-#: Python-level call).  A free's keep/cancel decision is always the same as
-#: its create's.
-FREE_OPS = {
-    "comm_free": HandleKind.COMM.value,
-    "file_close": HandleKind.FILE.value,
-    "group_free": HandleKind.GROUP.value,
-    "type_free": HandleKind.DATATYPE.value,
-}
-
-_COMM, _COMM_KEY, _GROUP_KEY = (
-    HandleKind.COMM, HandleKind.COMM.value, HandleKind.GROUP.value)
-#: namespaces whose live handles the snapshot fast path restores
-_LOCAL_KINDS = frozenset({HandleKind.GROUP.value, HandleKind.DATATYPE.value})
-_COMM_REF_OPS = frozenset({
-    "comm_dup", "comm_group", "comm_split", "comm_create", "cart_create",
-    "graph_create", "file_open",
-})
-
-
-def entry_refs(entry: "LogEntry") -> tuple:
-    """(kind value, vid) pairs this entry's replay resolves (excluding its
-    result)."""
-    op = entry.op
-    if op in _COMM_REF_OPS:
-        return ((_COMM_KEY, entry.args[0]),)
-    if op in ("group_incl", "group_excl"):
-        return ((_GROUP_KEY, entry.args[0]),)
-    if op in ("group_union", "group_intersection"):
-        return ((_GROUP_KEY, entry.args[0]), (_GROUP_KEY, entry.args[1]))
-    if op in FREE_OPS:
-        return ((FREE_OPS[op], entry.args[0]),)
-    return ()
+from repro.mana.record_replay import LogEntry
+from repro.mana.virtualize import VCOMM_WORLD, HandleKind, VirtualHandleTable
 
 
 @dataclass
 class CompactionStats:
     """What one rank's compaction pass did (stored in the image)."""
 
+    #: entries in the log the image replaces
     examined: int = 0
+    #: descriptor entries the image holds instead
     kept: int = 0
-    #: create+free pairs of collective handles cancelled together
-    cancelled_pairs: int = 0
-    #: local (datatype / group-algebra) entries elided by the fast path
-    elided_local: int = 0
     #: live GROUP/DATATYPE handles captured as direct table bindings
     snapshot_bindings: int = 0
 
@@ -139,179 +57,77 @@ class CompactionStats:
         return {
             "examined": self.examined,
             "kept": self.kept,
-            "cancelled_pairs": self.cancelled_pairs,
-            "elided_local": self.elided_local,
             "snapshot_bindings": self.snapshot_bindings,
         }
 
 
 @dataclass
 class CompactionResult:
-    """Kept entries (original order preserved) plus the pass statistics."""
+    """Descriptor entries, local value bindings and the pass statistics."""
 
     entries: list = field(default_factory=list)
+    #: kind name -> {vid -> ("group", ranks) | ("datatype", recipe)}
+    local: dict = field(default_factory=dict)
     stats: CompactionStats = field(default_factory=CompactionStats)
 
 
-def comm_membership(entries: list, n_ranks: int) -> dict:
-    """Symbolic comm-vid -> frozenset(world ranks), walking the log forward."""
-    members: dict = {VCOMM_WORLD: frozenset(range(n_ranks))}
-    for e in entries:
-        if e.result_kind is _COMM and e.result_vid is not None:
-            members[e.result_vid] = frozenset(e.group)
-    return members
-
-
-def _cancellable(entry: "LogEntry", members: dict) -> bool:
-    """May this dead, unreferenced, pair-freed collective create cancel?
-
-    Only when every replay participant provably reaches the same decision
-    from its own rank-local log (see the module docstring).
-    """
-    if entry.op in _MEMBERSHIP_PRESERVING:
-        return True
-    # comm_split / comm_create: only when the result spans the parent
-    return members[entry.result_vid] == members[entry.args[0]]
-
-
-def compact_log(entries: list, live: dict, n_ranks: int) -> CompactionResult:
-    """One rank's compaction pass over the log of an ``n_ranks`` job.
-
-    ``entries`` is the full recorded log; ``live`` maps each
-    :class:`HandleKind` to the set of virtual ids still bound when the
-    image is cut (the virtual-handle table's bound sets).  Entries are only
-    ever *deleted*, never reordered — replay's collective-matching order is
-    exactly the surviving subsequence.
-    """
-    stats = CompactionStats(examined=len(entries))
-    freed_at: dict = {}
-    for i, e in enumerate(entries):
-        kind = FREE_OPS.get(e.op)
-        if kind is not None:
-            freed_at[(kind, e.args[0])] = i
-
-    members = comm_membership(entries, n_ranks)
-    live_set = {
-        (kind._value_, vid) for kind, vids in live.items() for vid in vids
+def local_payloads(table: VirtualHandleTable) -> dict:
+    """Value snapshots of every live local handle, straight from the table:
+    these restore by direct binding, no replay."""
+    local: dict = {}
+    groups = {
+        vid: ("group", tuple(g.world_ranks))
+        for vid, g in table.bound(HandleKind.GROUP).items()
     }
-
-    keep = [False] * len(entries)
-    needed: set = set()
-
-    # Reverse walk: every reference points backward (vids are minted in
-    # order), so by the time a create is visited every entry that could
-    # reference it has already been decided.
-    for i in range(len(entries) - 1, -1, -1):
-        e = entries[i]
-        op = e.op
-        if op in FREE_OPS:
-            continue  # a free's fate is decided with its create, below
-        if op in LOCAL_CREATE_OPS:
-            continue  # elided: the snapshot fast path restores live ones
-        if op in COLLECTIVE_CREATE_OPS:
-            if e.result_vid is None:
-                # Non-member participation (comm_split undefined colour,
-                # comm_create outsider): always kept, so member ranks —
-                # which cannot see our liveness — keep theirs too.
-                keep[i] = True
-                needed.update(entry_refs(e))
-                continue
-            key = (e.result_kind._value_, e.result_vid)
-            free_idx = freed_at.get(key)
-            if key in live_set or key in needed:
-                keep[i] = True
-                if free_idx is not None:
-                    # Kept only as a dependency: replay must still retire
-                    # the vid so the table converges to the snapshot.
-                    keep[free_idx] = True
-                needed.update(entry_refs(e))
-            elif free_idx is not None and _cancellable(e, members):
-                stats.cancelled_pairs += 1
-            else:
-                keep[i] = True
-                if free_idx is not None:
-                    keep[free_idx] = True
-                needed.update(entry_refs(e))
-            continue
-        # Unknown op: keep conservatively (forward compatibility).
-        keep[i] = True
-        needed.update(entry_refs(e))
-
-    kept_entries = [e for e, kept in zip(entries, keep) if kept]
-    stats.kept = len(kept_entries)
-    stats.elided_local = sum(
-        1 for e, kept in zip(entries, keep)
-        if not kept
-        and (e.op in LOCAL_CREATE_OPS or FREE_OPS.get(e.op) in _LOCAL_KINDS)
-    )
-    return CompactionResult(entries=kept_entries, stats=stats)
+    if groups:
+        local[HandleKind.GROUP.value] = groups
+    dtypes = {
+        vid: ("datatype", dt.recipe)
+        for vid, dt in table.bound(HandleKind.DATATYPE).items()
+    }
+    if dtypes:
+        local[HandleKind.DATATYPE.value] = dtypes
+    return local
 
 
-# --------------------------------------------------------------- oracle
+def compact_log(entries: list, table: VirtualHandleTable) -> CompactionResult:
+    """One rank's compaction pass: describe the live handles of ``table``.
 
-def check_collective_consistency(
-    logs: list, n_ranks: int
-) -> list[str]:
-    """Verify that all ranks' (compacted) logs admit a deadlock-free replay.
-
-    Re-derives the global collective schedule: repeatedly finds a
-    communicator-management instance whose *every* participant has it as
-    their next collective entry, and advances them together — exactly what
-    :meth:`MpiWorld.collective_arrive` requires at replay.  If no instance
-    can advance while entries remain, some rank cancelled an entry its
-    peers kept (or vice versa); the stuck ranks are reported.
-
-    Returns a list of human-readable problems (empty = consistent).
+    ``entries`` is the log the image replaces; only its length is read.
     """
-    queues = [
-        [e for e in log if e.op in COLLECTIVE_CREATE_OPS] for log in logs
-    ]
-    ptr = [0] * len(logs)
-    gid: list[dict] = [{VCOMM_WORLD: ("W",)} for _ in logs]
-    members_of: dict = {("W",): frozenset(range(n_ranks))}
-    seq: dict = {}
+    comms = table.bound(HandleKind.COMM)
+    files = sorted(table.bound(HandleKind.FILE).items())
+    # a freed communicator a live file was opened on is rebuilt too
+    rebuilt = {vid: real for vid, real in comms.items() if vid != VCOMM_WORLD}
+    for _vid, binding in files:
+        if binding.vcomm not in comms:
+            rebuilt[binding.vcomm] = binding.real.comm
 
-    def advance_instance(r: int) -> bool:
-        e = queues[r][ptr[r]]
-        pg = gid[r].get(e.args[0])
-        if pg is None:
-            return False  # parent never materialized here: stuck
-        part = members_of[pg]
-        for q in part:
-            if ptr[q] >= len(queues[q]):
-                return False
-            eq = queues[q][ptr[q]]
-            if eq.op != e.op or gid[q].get(eq.args[0]) != pg:
-                return False
-        k = seq.get((pg, e.op), 0)
-        seq[(pg, e.op)] = k + 1
-        for q in part:
-            eq = queues[q][ptr[q]]
-            if eq.result_vid is not None and eq.result_kind is _COMM:
-                if e.op == "comm_split":
-                    child = (pg, "split", k, eq.args[1])
-                else:
-                    child = (pg, e.op, k)
-                gid[q][eq.result_vid] = child
-                members_of[child] = frozenset(eq.group)
-            ptr[q] += 1
-        return True
+    items = {(): []}  # sort key -> entries; () sorts first: world files
+    keys = {VCOMM_WORLD: ()}
+    seen: dict = {}
+    for vid in sorted(rebuilt):
+        real = rebuilt[vid]
+        ranks = tuple(real.group.world_ranks)
+        k = seen.get(ranks, 0)
+        seen[ranks] = k + 1
+        keys[vid] = (ranks, k)
+        items[(ranks, k)] = [LogEntry(
+            "comm_create_group", (ranks, k, real.topology), vid,
+            HandleKind.COMM)]
+    for vid, binding in files:
+        items[keys[binding.vcomm]].append(LogEntry(
+            "file_open", (binding.vcomm, binding.path, binding.mode), vid,
+            HandleKind.FILE))
+    for vid in rebuilt:
+        if vid not in comms:
+            items[keys[vid]].append(
+                LogEntry("comm_free", (vid,), None, HandleKind.COMM))
 
-    progress = True
-    while progress:
-        progress = False
-        for r in range(len(logs)):
-            if ptr[r] < len(queues[r]) and advance_instance(r):
-                progress = True
-                break
+    out = [entry for key in sorted(items) for entry in items[key]]
+    local = local_payloads(table)
+    stats = CompactionStats(
+        examined=len(entries), kept=len(out),
+        snapshot_bindings=sum(len(v) for v in local.values()))
+    return CompactionResult(entries=out, local=local, stats=stats)
 
-    problems = []
-    for r in range(len(logs)):
-        if ptr[r] < len(queues[r]):
-            e = queues[r][ptr[r]]
-            problems.append(
-                f"rank {r} stuck at collective entry {ptr[r]} "
-                f"({e.op} on comm vid {e.args[0]}): some participant "
-                "pruned it or never reaches it"
-            )
-    return problems

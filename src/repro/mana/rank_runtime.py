@@ -777,8 +777,8 @@ class ManaRankRuntime:
 
     def capture_state(self) -> dict:
         """The picklable restore payload (everything upper-half)."""
-        log_snap = self.log.snapshot(compact=self.options.compact, table=self.table,
-                                     n_ranks=self.n_ranks)
+        log_snap = self.log.snapshot(compact=self.options.compact,
+                                     table=self.table)
         self.last_compaction = log_snap["stats"]
         return {
             "interp": self.driver.interp.snapshot(),

@@ -11,10 +11,10 @@ MPI library, so all ranks replay concurrently and their calls match exactly
 as the originals did.
 
 At checkpoint time the log can be *compacted* (``snapshot(compact=True)``,
-see :mod:`repro.mana.log_compaction` and docs/record_replay.md): dead
-create/free pairs cancel, and purely local entries (datatypes, group
-algebra) are replaced by direct value bindings restored at replay start —
-restart cost then tracks live handles, not call history.
+see :mod:`repro.mana.log_compaction` and docs/record_replay.md): the image
+then holds one ``comm_create_group`` descriptor per live communicator and
+direct value bindings for live datatypes and groups, so restart cost
+tracks live handles, not call history.
 """
 
 from __future__ import annotations
@@ -48,14 +48,9 @@ class LogEntry:
     handles only (picklable); ``result_vid`` is the virtual id the original
     call produced (None for frees and for non-member comm_create/split
     results); ``result_kind`` is the handle namespace that id lives in, so
-    replay rebinds into the right table even for non-comm results.
-
-    ``group`` records the result communicator's membership (world ranks)
-    for communicator-producing collectives.  Replay never needs it — the
-    fresh collective recomputes the membership — but checkpoint-time
-    compaction does: a ``comm_split`` may only cancel when its recorded
-    result membership equals the parent's (see
-    :mod:`repro.mana.log_compaction`).  ``None`` on every other entry.
+    replay rebinds into the right table even for non-comm results.  The
+    compactor's ``comm_create_group`` descriptors are entries too, with
+    args ``(world_ranks, k, topology)``.
 
     A long log holds one entry per persistent call ever made, so entries
     are slotted (no per-instance ``__dict__``) and built by a plain
@@ -64,20 +59,17 @@ class LogEntry:
     reading a log runs no Python hook beyond the constructor.
     """
 
-    __slots__ = ("op", "args", "result_vid", "result_kind", "group")
+    __slots__ = ("op", "args", "result_vid", "result_kind")
 
     def __init__(self, op: str, args: tuple, result_vid: Optional[int],
-                 result_kind: HandleKind = HandleKind.COMM,
-                 group: Optional[tuple] = None) -> None:
+                 result_kind: HandleKind = HandleKind.COMM) -> None:
         self.op = op
         self.args = args
         self.result_vid = result_vid
         self.result_kind = result_kind
-        self.group = group
 
     def _fields(self) -> tuple:
-        return (self.op, self.args, self.result_vid, self.result_kind,
-                self.group)
+        return (self.op, self.args, self.result_vid, self.result_kind)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not LogEntry:
@@ -87,11 +79,11 @@ class LogEntry:
     def __repr__(self) -> str:
         return (f"LogEntry(op={self.op!r}, args={self.args!r}, "
                 f"result_vid={self.result_vid!r}, "
-                f"result_kind={self.result_kind!r}, group={self.group!r})")
+                f"result_kind={self.result_kind!r})")
 
     def __reduce__(self) -> tuple:
         return (LogEntry, (self.op, self.args, self.result_vid,
-                           self.result_kind, self.group))
+                           self.result_kind))
 
 
 class RecordLog:
@@ -110,42 +102,20 @@ class RecordLog:
         self.local_bindings: dict[str, dict[int, tuple]] = {}
 
     def record(self, op: str, args: tuple, result_vid: Optional[int],
-               result_kind: HandleKind = HandleKind.COMM,
-               group: Optional[tuple] = None) -> None:
+               result_kind: HandleKind = HandleKind.COMM) -> None:
         """Append one persistent-call entry (``args`` is a tuple)."""
-        self.entries.append(LogEntry(op, args, result_vid, result_kind, group))
+        self.entries.append(LogEntry(op, args, result_vid, result_kind))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     # ---------------------------------------------------------- snapshot
 
-    @staticmethod
-    def _local_payloads(table: VirtualHandleTable) -> dict:
-        """Value snapshots of every live local handle, straight from the
-        table: these restore by direct binding, no replay."""
-        local: dict = {}
-        groups = {
-            vid: ("group", tuple(g.world_ranks))
-            for vid, g in table.bound(HandleKind.GROUP).items()
-        }
-        if groups:
-            local[HandleKind.GROUP.value] = groups
-        dtypes = {
-            vid: ("datatype", dt.recipe)
-            for vid, dt in table.bound(HandleKind.DATATYPE).items()
-        }
-        if dtypes:
-            local[HandleKind.DATATYPE.value] = dtypes
-        return local
-
     def snapshot(self, compact: bool = False,
-                 table: Optional[VirtualHandleTable] = None,
-                 n_ranks: Optional[int] = None) -> dict:
+                 table: Optional[VirtualHandleTable] = None) -> dict:
         """Picklable ``{"entries", "local", "stats"}`` form for the image:
-        the whole log, or with ``compact=True`` the log as the
-        :mod:`~repro.mana.log_compaction` pass of an ``n_ranks`` job prunes
-        it against the live table."""
+        the whole log, or with ``compact=True`` the descriptors of the
+        live ``table`` (:mod:`~repro.mana.log_compaction`)."""
         if not compact:
             return {
                 "entries": list(self.entries),
@@ -156,13 +126,10 @@ class RecordLog:
             raise ValueError("compact snapshot needs the live handle table")
         from repro.mana.log_compaction import compact_log
 
-        live = {kind: set(table.bound(kind)) for kind in HandleKind}
-        result = compact_log(self.entries, live, n_ranks=n_ranks)
-        local = self._local_payloads(table)
-        result.stats.snapshot_bindings = sum(len(v) for v in local.values())
+        result = compact_log(self.entries, table)
         return {
             "entries": result.entries,
-            "local": local,
+            "local": result.local,
             "stats": result.stats.as_dict(),
         }
 
@@ -304,6 +271,10 @@ class ReplayEngine:
         self._continue(FileBinding(real=real, vcomm=vcomm, path=path,
                                    mode=mode))
 
+    def _continue_group(self, real: Any) -> None:
+        real.topology = self._entry.args[2]
+        self._continue(real)
+
     def _resolve_comm(self, vid: int) -> Any:
         return self.table.resolve(_COMM, vid)
 
@@ -340,6 +311,11 @@ class ReplayEngine:
         self._await(entry, self.endpoint.graph_create(
             [tuple(e) for e in edges], self._resolve_comm(parent_vid)),
             self._continue)
+
+    def _replay_comm_create_group(self, entry: LogEntry) -> None:
+        world_ranks, k, _topology = entry.args
+        self._await(entry, self.endpoint.comm_create_group(
+            Group(tuple(world_ranks)), k), self._continue_group)
 
     def _replay_comm_free(self, entry: LogEntry) -> None:
         (vid,) = entry.args

@@ -186,11 +186,7 @@ class _TwoPhaseCall:
             rt.log.record(label, log_args, None)
             return None
         vid = rt.register_comm(real_result)
-        # Record the result membership too: checkpoint-time compaction may
-        # only cancel a dead comm_split when its result covered the whole
-        # parent (docs/record_replay.md); replay itself never reads it.
-        rt.log.record(label, log_args, vid,
-                      group=tuple(real_result.group.world_ranks))
+        rt.log.record(label, log_args, vid)
         return vid
 
 

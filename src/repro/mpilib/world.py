@@ -236,6 +236,9 @@ class MpiWorld:
         self._colls: dict[tuple[int, int], _CollectiveContext] = {}
         #: open comm-management instances, by (op kind, parent context)
         self._comm_creations: dict[tuple[str, int], _CommCreation] = {}
+        #: open MPI_Comm_create_group instances, by (members, tag): the
+        #: matching communicator and how many members have not arrived
+        self._group_creations: dict[tuple, list] = {}
         self.finalized = False
         #: cumulative p2p statistics (per experiment reporting)
         self.p2p_messages = 0
@@ -341,6 +344,21 @@ class MpiWorld:
         if creation.pickups == len(parent.group.world_ranks):
             del creations[key]
         return shared
+
+    def group_creation_comm(self, group: Group, tag: int) -> Communicator:
+        """The communicator that matches one MPI_Comm_create_group instance:
+        minted by the first member to call with ``(group, tag)``, shared by
+        the rest, and forgotten once every member has arrived."""
+        key = (group.world_ranks, tag)
+        open_ = self._group_creations.get(key)
+        if open_ is None:
+            open_ = self._group_creations[key] = [Communicator(
+                handle=0, context_id=self.new_context_id(), group=group,
+                name=f"group#{tag}"), len(group.world_ranks)]
+        open_[1] -= 1
+        if open_[1] == 0:
+            del self._group_creations[key]
+        return open_[0]
 
     # -------------------------------------------------------- wire helpers
 
@@ -942,6 +960,19 @@ class MpiEndpoint:
         ).on_done(call.create)
         return call.out
 
+    def comm_create_group(self, group: Group, tag: int) -> Completion:
+        """MPI_Comm_create_group (MPI-3.1 §6.4.2): collective over the
+        members of ``group`` only, matched on ``(group, tag)``; resolves
+        with this rank's new Communicator."""
+        self.calls += 1
+        comm = self.world.group_creation_comm(group, tag)
+        call = _CommCall(self, comm, "comm_create_group", group)
+        self.world.collective_arrive(
+            self, comm, "allgather", tag, 8).on_done(call.create_group)
+        # the matching context is used once
+        self._coll_seq.pop(comm.context_id, None)
+        return call.out
+
     def cart_create(self, dims: list[int], periods: list[bool],
                     comm: Optional[Communicator] = None,
                     reorder: bool = True) -> Completion:
@@ -997,8 +1028,8 @@ class _CommCall:
     members of one new communicator share — context id, group and name —
     is built once per instance and colour (:meth:`MpiWorld.shared_comm`).
     ``arg`` is the call's own input: the colour of a split, the group of a
-    create, the topology of a cart/graph create, ``(path, mode)`` of a
-    file open.
+    create or create-group, the topology of a cart/graph create,
+    ``(path, mode)`` of a file open.
     """
 
     __slots__ = ("endpoint", "comm", "arg", "values", "out")
@@ -1073,6 +1104,11 @@ class _CommCall:
 
     def _create_comm(self) -> tuple[Group, str]:
         return self.arg, f"{self.comm.name}.create"
+
+    def create_group(self, _values: list) -> None:
+        """MPI_Comm_create_group: the group's communicator."""
+        self._resolve(self.endpoint.world.shared_comm(
+            "create", self.comm, None, self._create_comm))
 
     def cart(self, _values: list) -> None:
         """MPI_Cart_create: the parent's group with a Cartesian topology."""

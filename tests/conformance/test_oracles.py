@@ -1,14 +1,21 @@
 """Oracles: the fingerprint must be canonical and bit-sensitive, the
 conservation check must flag every way traffic can go missing."""
 
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.conformance import (
     ConservationTotals,
     check_conservation,
     check_golden_state,
+    check_replay_accounting,
     state_fingerprint,
 )
+from repro.mana.storage import load_checkpoint
+
+IMAGES = pathlib.Path(__file__).parents[1] / "mana" / "images"
 
 
 def _state(**kw):
@@ -102,3 +109,16 @@ def test_golden_state_check_returns_divergence_with_both_sides():
     assert div is not None and div.oracle == "golden_state"
     assert div.expected == golden and div.actual != golden
     assert "differs" in str(div)
+
+
+def test_replay_accounting_reports_one_divergence_per_miscount():
+    """One entry too few is one divergence, also for a compacted set whose
+    logs hold no free."""
+    ckpt = load_checkpoint(IMAGES / "commchurn_v3_compact")
+    held = sum(len(image.restore_state()["log"]["entries"])
+               for image in ckpt.images)
+    short = SimpleNamespace(replayed_entries=held - 1)
+    divergences = check_replay_accounting(ckpt, short)
+    assert [(d.expected, d.actual) for d in divergences] == [(held, held - 1)]
+    exact = SimpleNamespace(replayed_entries=held)
+    assert check_replay_accounting(ckpt, exact) == []

@@ -1,11 +1,12 @@
 """Write a ``commchurn`` image-corpus set.
 
-    PYTHONPATH=src python tests/mana/images/make_commchurn.py OUTDIR
+    PYTHONPATH=src python tests/mana/images/make_commchurn.py OUTDIR [--compact]
 
-Checkpoints a 4-rank ``commchurn`` job (uncompacted log) mid-run on two
-Aries nodes, saves the set with :func:`repro.mana.storage.save_checkpoint`,
-restarts it onto InfiniBand/Open MPI and writes the restarted run's final
-state fingerprint to ``OUTDIR/golden.json``.
+Checkpoints a 4-rank ``commchurn`` job mid-run on two Aries nodes (its logs
+uncompacted, or compacted with ``--compact``), saves the set with
+:func:`repro.mana.storage.save_checkpoint`, restarts it onto InfiniBand/Open
+MPI and writes the restarted run's final state fingerprint and replayed
+entry count to ``OUTDIR/golden.json``.
 
 Each committed set was written by the code of one image format, and stays
 as it was written.  The first three have the ``MANAIMG1`` file header and
@@ -18,7 +19,13 @@ are read as image schema 2 (see :mod:`repro.mana.checkpoint_image`):
 * ``commchurn_v2``: log entries pickle as calls of ``LogEntry`` on their
   field values;
 * ``commchurn_v3``: schema 3, stamped in the ``MANAIMG2`` file header; the
-  log is always ``{"entries", "local", "stats"}``.
+  log is always ``{"entries", "local", "stats"}``, and an entry pickles as
+  a call of ``LogEntry`` on five fields, the fifth the result
+  communicator's members;
+* ``commchurn_v3_compact``: schema 3 with ``--compact``: each log is the
+  pruned subsequence of the full one that schema-3 compaction kept (the
+  live dup and the split derived from it);
+* ``commchurn_v4``: schema 4; an entry has four fields.
 
 Running this script writes images in the current format.  When the image
 schema changes again, write a new versioned directory with it; do not
@@ -59,13 +66,16 @@ def restart_fingerprint(directory) -> tuple[str, int]:
             job.restart_report.replayed_entries)
 
 
-def main(out: str) -> None:
-    """Write the checkpoint set and its ``golden.json`` to ``out``."""
+def main(out: str, compact: bool = False) -> None:
+    """Write the checkpoint set and its ``golden.json`` to ``out``, its
+    logs compacted if ``compact``."""
     from repro.harness.experiments import _launch_mana_app
+    from repro.mana.protocol import JobOptions
 
     spec, cfg = app_config()
     cluster = make_cluster("aries", 2, interconnect="aries")
-    job = _launch_mana_app(cluster, spec, cfg, N_RANKS, 2)
+    job = _launch_mana_app(cluster, spec, cfg, N_RANKS, 2,
+                           JobOptions(compact=compact))
     ckpt, _report = job.checkpoint_at(CKPT_AT)
     outdir = pathlib.Path(out)
     save_checkpoint(ckpt, outdir)
@@ -79,4 +89,4 @@ def main(out: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    main(sys.argv[1], compact="--compact" in sys.argv[2:])

@@ -10,6 +10,7 @@ refused with a typed error, never restored with guessed defaults.
 import copyreg
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 import pickle
@@ -19,7 +20,7 @@ import struct
 import pytest
 
 from repro.mana import record_replay
-from repro.mana.checkpoint_image import SCHEMA, CheckpointError
+from repro.mana.checkpoint_image import SCHEMA, CheckpointError, _OldUnpickler
 from repro.mana.record_replay import LogEntry
 from repro.mana.storage import load_checkpoint
 from repro.mana.virtualize import HandleKind
@@ -28,8 +29,9 @@ from tests.mana.images.make_commchurn import restart_fingerprint
 
 IMAGES = pathlib.Path(__file__).parent / "images"
 #: every committed set, oldest first
-CORPUS = ["commchurn_v1", "commchurn_v1_tuple", "commchurn_v2", "commchurn_v3"]
-FIRST_ENTRY = LogEntry("comm_dup", (1,), 1000, HandleKind.COMM, (0, 1, 2, 3))
+CORPUS = ["commchurn_v1", "commchurn_v1_tuple", "commchurn_v2", "commchurn_v3",
+          "commchurn_v3_compact", "commchurn_v4"]
+FIRST_ENTRY = LogEntry("comm_dup", (1,), 1000, HandleKind.COMM)
 
 
 def _golden(name: str) -> dict:
@@ -51,7 +53,7 @@ def test_commchurn_v1_log_covers_the_churn_ops():
 
 
 def test_log_entries_are_slotted_and_read_both_pickle_states():
-    entry = LogEntry("comm_split", (1, 0, 2), 1001, HandleKind.COMM, (0, 2))
+    entry = LogEntry("comm_split", (1, 0, 2), 1001, HandleKind.COMM)
     assert not hasattr(entry, "__dict__")
     assert pickle.loads(pickle.dumps(entry)) == entry
     # the __dict__ state of commchurn_v1, the field tuple of _v1_tuple
@@ -63,12 +65,14 @@ def test_log_entries_are_slotted_and_read_both_pickle_states():
 
 
 def test_commchurn_v2_entries_load_without_state_hooks():
-    """Entries pickled as calls of ``LogEntry`` on their fields unpickle
-    with today's class, which has no state hook at all."""
+    """Entries pickled as calls of ``LogEntry`` on their (then five) fields
+    are read by those calls alone: today's class has no state hook."""
     assert not hasattr(LogEntry, "__setstate__")
-    ckpt = load_checkpoint(IMAGES / "commchurn_v2")
-    log = pickle.loads(ckpt.images[0].payload)["log"]
-    assert isinstance(log, list)
+    image = load_checkpoint(IMAGES / "commchurn_v2").images[0]
+    raw = _OldUnpickler(io.BytesIO(image.payload)).load()["log"]
+    assert isinstance(raw, list)
+    assert all(len(e.state) == 5 for e in raw)
+    log = image.restore_state()["log"]["entries"]
     assert {"comm_dup", "comm_split", "type_create"} <= {e.op for e in log}
     assert log[0] == FIRST_ENTRY
 
@@ -83,13 +87,33 @@ def test_newest_set_has_the_current_schema():
     assert log["entries"][0] == FIRST_ENTRY
 
 
+def test_schema3_entries_lose_the_member_field():
+    """A schema-3 entry is a call of ``LogEntry`` on five fields; it is read
+    as the first four."""
+    image = load_checkpoint(IMAGES / "commchurn_v3").images[0]
+    assert image.schema == 3
+    entries = image.restore_state()["log"]["entries"]
+    assert entries[0] == FIRST_ENTRY
+    assert all(e.__class__ is LogEntry for e in entries)
+
+
+def test_commchurn_v3_compact_holds_a_pruned_log():
+    """The compacted schema-3 set is a pruned subsequence of the call
+    history, not descriptors: its restart replays it as it stands."""
+    for image in load_checkpoint(IMAGES / "commchurn_v3_compact").images:
+        log = image.restore_state()["log"]
+        assert log["stats"]["examined"] > log["stats"]["kept"]
+        assert [e.op for e in log["entries"]] == ["comm_dup", "comm_split"]
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_old_image_restarts_to_its_recorded_fingerprint(name):
     fingerprint, replayed = restart_fingerprint(IMAGES / name)
     golden = _golden(name)
-    assert golden == {"fingerprint": "722ab8ce98d804e7824b61dd23b8472e"
-                                     "2bb122d3d6e4b4e66673b5a789a8683e",
-                      "replayed_entries": 248}
+    assert golden["fingerprint"] == ("722ab8ce98d804e7824b61dd23b8472e"
+                                     "2bb122d3d6e4b4e66673b5a789a8683e")
+    if not name.endswith("_compact"):
+        assert golden["replayed_entries"] == 248
     assert fingerprint == golden["fingerprint"]
     assert replayed == golden["replayed_entries"]
 
@@ -139,17 +163,28 @@ def _with_entries(*states):
     return lambda state: dict(state, log=[_StateEntry(s) for s in states])
 
 
-@pytest.mark.parametrize("alter, missing", [
+@pytest.mark.parametrize("alter", [
     # an unslotted entry pickled before ``group`` existed
     pytest.param(_with_entries({"op": "comm_dup", "args": (1,),
                                 "result_vid": 1000,
                                 "result_kind": HandleKind.COMM}),
-                 "'group'", id="comm_dup_without_group"),
+                 id="comm_dup_without_group"),
     # a split whose result membership was never recorded
     pytest.param(_with_entries(
         ("comm_split", (1, 0, 0), 1000, HandleKind.COMM, None),
         ("comm_free", (1000,), None, HandleKind.COMM, None)),
-        "'group'", id="comm_split_with_unknown_membership"),
+        id="comm_split_with_unknown_membership"),
+])
+def test_pre_corpus_entry_without_members_restores(monkeypatch, alter):
+    """Nothing reads a communicator entry's members any more, so an entry
+    that never recorded them restores like any other."""
+    state = _schema2_image(monkeypatch, alter(_schema2_state())).restore_state()
+    entries = state["log"]["entries"]
+    assert entries[0].op in ("comm_dup", "comm_split")
+    assert all(e.__class__ is LogEntry for e in entries)
+
+
+@pytest.mark.parametrize("alter, missing", [
     # the datatype vid carried in the args as well as in result_vid
     pytest.param(_with_entries(
         ("type_create", (("contiguous", 4, "d"), 2000), 2000,

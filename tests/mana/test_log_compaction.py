@@ -21,10 +21,7 @@ from repro.conformance.oracles import (
 from repro.hardware.cluster import make_cluster
 from repro.mana import launch_mana, restart
 from repro.mana.checkpoint_image import CheckpointImage
-from repro.mana.log_compaction import (
-    check_collective_consistency,
-    compact_log,
-)
+from repro.mana.log_compaction import compact_log
 from repro.mana.record_replay import (
     LogEntry,
     RecordLog,
@@ -32,107 +29,155 @@ from repro.mana.record_replay import (
     ReplayError,
 )
 from repro.mana.virtualize import VCOMM_WORLD, HandleKind, VirtualHandleTable
+from repro.mana.wrappers import FileBinding
 from repro.mpilib import DOUBLE, SUM
+from repro.mpilib.comm import Communicator, Group
+from repro.mpilib.io import MpiFile
+from repro.mpilib.topology import CartTopology
 from repro.mprog import Call, Compute, Loop, Program, Seq
 from repro.simtime import Completion, Engine
 
 WORLD4 = (0, 1, 2, 3)
 
 
-def _entry(op, args, vid, kind=HandleKind.COMM, group=None):
-    return LogEntry(op, tuple(args), vid, kind, group)
+def _entry(op, args, vid, kind=HandleKind.COMM):
+    return LogEntry(op, tuple(args), vid, kind)
 
 
-def _no_live():
-    return {kind: set() for kind in HandleKind}
+def _table(comms=(), files=(), freed=None):
+    """A rank-0 table: the world, live ``(vid, members, topology)``
+    communicators, and ``(vid, vcomm, path)`` files; a file's vcomm in
+    ``freed`` names a communicator that was freed after the open."""
+    table = VirtualHandleTable()
+    real = {VCOMM_WORLD: Communicator(1, 1, Group(WORLD4))}
+    for vid, members, topology in comms:
+        real[vid] = Communicator(vid, vid, Group(members), topology=topology)
+    for vid, comm in real.items():
+        table.register(HandleKind.COMM, comm, virtual=vid)
+    for vid, vcomm, path in files:
+        comm = real.get(vcomm) or Communicator(vcomm, vcomm, Group(freed[vcomm]))
+        table.register(HandleKind.FILE, FileBinding(
+            real=MpiFile(handle=vid, file=None, comm=comm, endpoint=None),
+            vcomm=vcomm, path=path, mode="rw"), virtual=vid)
+    return table
+
+
+def _summary(entries):
+    return [(e.op, e.args, e.result_vid) for e in entries]
 
 
 # --------------------------------------------------------- unit: compaction
 
 def test_dead_dup_pair_cancels():
     entries = [
-        _entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4),
+        _entry("comm_dup", (VCOMM_WORLD,), 1000),
         _entry("comm_free", (1000,), None),
     ]
-    result = compact_log(entries, _no_live(), n_ranks=4)
+    result = compact_log(entries, _table())
     assert result.entries == []
-    assert result.stats.cancelled_pairs == 1
-    assert result.stats.kept == 0
-
-
-def test_live_handle_pins_parent_chain():
-    entries = [
-        _entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4),
-        _entry("comm_split", (1000, 0, 0), 1001, group=WORLD4),
-        _entry("comm_dup", (VCOMM_WORLD,), 1002, group=WORLD4),
-        _entry("comm_free", (1002,), None),
-    ]
-    live = _no_live()
-    live[HandleKind.COMM] = {VCOMM_WORLD, 1001}
-    result = compact_log(entries, live, n_ranks=4)
-    # the live split pins the dead-but-referenced dup it derives from; the
-    # unreferenced dead dup cancels with its free
-    assert [e.result_vid for e in result.entries] == [1000, 1001]
-    assert result.stats.cancelled_pairs == 1
-
-
-def test_dead_but_referenced_create_keeps_its_free():
-    entries = [
-        _entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4),
-        _entry("comm_split", (1000, 0, 0), 1001, group=WORLD4),
-        _entry("comm_free", (1000,), None),
-    ]
-    live = _no_live()
-    live[HandleKind.COMM] = {VCOMM_WORLD, 1001}
-    result = compact_log(entries, live, n_ranks=4)
-    # the dup is dead but pinned by the live split: replay must re-create
-    # AND re-free it so the table converges to the snapshot's bindings
-    assert [e.op for e in result.entries] == [
-        "comm_dup", "comm_split", "comm_free",
-    ]
-
-
-def test_subset_split_pair_never_cancels():
-    entries = [
-        _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000, group=(0, 1)),
-        _entry("comm_free", (1000,), None),
-    ]
-    result = compact_log(entries, _no_live(), n_ranks=4)
-    # proper-subset membership: the other colour's ranks cannot observe
-    # this pair, so nobody may cancel
-    assert [e.op for e in result.entries] == ["comm_split", "comm_free"]
-    assert result.stats.cancelled_pairs == 0
+    assert (result.stats.examined, result.stats.kept) == (2, 0)
 
 
 def test_uniform_split_pair_cancels():
     entries = [
-        _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000, group=WORLD4),
+        _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000),
         _entry("comm_free", (1000,), None),
     ]
-    result = compact_log(entries, _no_live(), n_ranks=4)
-    assert result.entries == []
-    assert result.stats.cancelled_pairs == 1
+    assert compact_log(entries, _table()).entries == []
+
+
+def test_subset_split_pair_never_cancels():
+    """A split pair over a proper subset is no special case any more: the
+    image describes the table alone, so a dead pair leaves no entry and a
+    live subset split is one entry over its own members."""
+    pair = [
+        _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000),
+        _entry("comm_free", (1000,), None),
+    ]
+    assert compact_log(pair, _table()).entries == []
+    live = _table(comms=[(1000, (0, 1), None)])
+    assert _summary(compact_log(pair[:1], live).entries) == [
+        ("comm_create_group", ((0, 1), 0, None), 1000)]
 
 
 def test_nonmember_entry_always_kept():
-    # undefined colour: this rank got no communicator, but its participation
-    # in the collective is still required at replay
-    entries = [_entry("comm_split", (VCOMM_WORLD, None, 0), None)]
-    result = compact_log(entries, _no_live(), n_ranks=4)
-    assert result.entries == entries
+    """An undefined-colour split gave this rank no communicator; the image
+    describes the table, so the history entry never reaches it, and the
+    members' descriptors need no non-member to replay."""
+    entries = [
+        _entry("comm_split", (VCOMM_WORLD, None, 0), None),
+        _entry("comm_dup", (VCOMM_WORLD,), 1002),
+    ]
+    table = _table(comms=[(1002, WORLD4, None)])
+    result = compact_log(entries, table)
+    assert result.entries == compact_log([], table).entries
+    assert _summary(result.entries) == [
+        ("comm_create_group", (WORLD4, 0, None), 1002)]
 
 
 def test_comm_create_cancels_only_on_full_membership():
+    """A dead comm_create pair leaves no entry whatever its membership; a
+    live subset create is one entry over its own members."""
     full = [
-        _entry("comm_create", (VCOMM_WORLD, WORLD4), 1000, group=WORLD4),
+        _entry("comm_create", (VCOMM_WORLD, WORLD4), 1000),
         _entry("comm_free", (1000,), None),
     ]
     subset = [
-        _entry("comm_create", (VCOMM_WORLD, (0, 1)), 1001, group=(0, 1)),
+        _entry("comm_create", (VCOMM_WORLD, (0, 1)), 1001),
         _entry("comm_free", (1001,), None),
     ]
-    assert compact_log(full, _no_live(), n_ranks=4).entries == []
-    assert len(compact_log(subset, _no_live(), n_ranks=4).entries) == 2
+    assert compact_log(full, _table()).entries == []
+    assert compact_log(subset, _table()).entries == []
+    live = _table(comms=[(1001, (0, 1), None)])
+    assert _summary(compact_log(subset[:1], live).entries) == [
+        ("comm_create_group", ((0, 1), 0, None), 1001)]
+
+
+def test_live_split_needs_no_parent():
+    """A live split of a freed dup is one entry over its own members."""
+    result = compact_log([], _table(comms=[(1001, (0, 2), None)]))
+    assert _summary(result.entries) == [
+        ("comm_create_group", ((0, 2), 0, None), 1001)]
+
+
+def test_descriptors_sort_by_members_then_k():
+    """``k`` counts equal-membership communicators in vid order; entries
+    sort by ``(world_ranks, k)``, and a topology rides along."""
+    cart = CartTopology((2, 2), (True, False))
+    table = _table(comms=[
+        (1000, (0, 2), None),
+        (1001, WORLD4, cart),
+        (1002, (0, 1, 2), None),
+        (1003, WORLD4, None),
+        (1004, (0, 2), None),
+    ])
+    assert _summary(compact_log([], table).entries) == [
+        ("comm_create_group", ((0, 1, 2), 0, None), 1002),
+        ("comm_create_group", (WORLD4, 0, cart), 1001),
+        ("comm_create_group", (WORLD4, 1, None), 1003),
+        ("comm_create_group", ((0, 2), 0, None), 1000),
+        ("comm_create_group", ((0, 2), 1, None), 1004),
+    ]
+
+
+def test_descriptors_never_free_a_live_handle():
+    """Files open on the world come first; a file on a live communicator
+    follows its entry; a file on a freed one is opened between the
+    communicator's re-creation and its free."""
+    table = _table(
+        comms=[(1001, (0, 1), None)],
+        files=[(5000, 1000, "/a"), (5001, VCOMM_WORLD, "/w"),
+               (5002, 1001, "/b")],
+        freed={1000: (0, 1)},
+    )
+    assert _summary(compact_log([], table).entries) == [
+        ("file_open", (VCOMM_WORLD, "/w", "rw"), 5001),
+        ("comm_create_group", ((0, 1), 0, None), 1000),
+        ("file_open", (1000, "/a", "rw"), 5000),
+        ("comm_free", (1000,), None),
+        ("comm_create_group", ((0, 1), 1, None), 1001),
+        ("file_open", (1001, "/b", "rw"), 5002),
+    ]
 
 
 def test_local_entries_always_elided():
@@ -144,53 +189,63 @@ def test_local_entries_always_elided():
         _entry("group_free", (3001,), None, HandleKind.GROUP),
         _entry("type_free", (2000,), None, HandleKind.DATATYPE),
     ]
-    live = _no_live()
-    live[HandleKind.GROUP] = {3000}  # still live: the snapshot carries it
-    result = compact_log(entries, live, n_ranks=4)
+    table = _table()
+    table.register(HandleKind.GROUP, Group(WORLD4), virtual=3000)
+    result = compact_log(entries, table)
     assert result.entries == []
-    assert result.stats.elided_local == 5
+    # the live group rides as a value binding instead
+    assert result.local == {"group": {3000: ("group", WORLD4)}}
+    assert result.stats.snapshot_bindings == 1
 
 
 # ------------------------------------------- unit: the consistency oracle
 
+class _Image:
+    def __init__(self, entries):
+        self.entries = entries
+
+    def restore_state(self):
+        return {"log": {"entries": self.entries}}
+
+
+class _Set:
+    def __init__(self, logs):
+        self.images = [_Image(log) for log in logs]
+
+
+def _create_group(members, k, vid):
+    return _entry("comm_create_group", (members, k, None), vid)
+
+
 def test_consistency_oracle_passes_symmetric_logs():
-    log = [
-        _entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4),
-        _entry("comm_split", (1000, 0, 0), 1001, group=(0, 1)),
-    ]
-    # every rank replays the same schedule (split colours differ per rank
-    # but the instance matches on op + parent)
-    logs = [list(log) for _ in range(4)]
-    assert check_collective_consistency(logs, 4) == []
+    logs = [[_create_group(WORLD4, 0, 1000)] for _ in range(4)]
+    for rank in (0, 2):
+        logs[rank].append(_create_group((0, 2), 0, 1001))
+    assert check_replay_consistency(_Set(logs)) == []
 
 
 def test_consistency_oracle_detects_one_sided_pruning():
-    kept = [_entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4)]
-    logs = [list(kept), list(kept), list(kept), []]  # rank 3 pruned it
-    problems = check_collective_consistency(logs, 4)
-    assert problems, "three ranks wait forever on rank 3's cancelled dup"
-    assert "stuck" in problems[0]
-
-
-def test_consistency_oracle_matches_by_parent_not_position():
-    # rank 0 kept an extra *local-parent-only* dup pair the others pruned —
-    # genuinely inconsistent, must be flagged
-    extra = [
-        _entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4),
-        _entry("comm_dup", (VCOMM_WORLD,), 1001, group=WORLD4),
+    kept = [_create_group(WORLD4, 0, 1000)]
+    logs = [list(kept), list(kept), list(kept), []]  # rank 3 has none
+    problems = check_replay_consistency(_Set(logs))
+    assert [d.actual for d in problems] == [
+        f"rank {r} holds comm_create_group ({WORLD4}, 0), member 3 does not"
+        for r in range(3)
     ]
-    pruned = [_entry("comm_dup", (VCOMM_WORLD,), 1000, group=WORLD4)]
-    problems = check_collective_consistency(
-        [extra, pruned, pruned, pruned], 4
-    )
-    assert problems
+
+
+def test_consistency_oracle_flags_an_extra_equal_membership_key():
+    # rank 0 describes a second world-membership communicator its peers
+    # do not hold: it would wait for them forever
+    one = [_create_group(WORLD4, 0, 1000)]
+    extra = one + [_create_group(WORLD4, 1, 1001)]
+    problems = check_replay_consistency(_Set([extra, one, one, one]))
+    assert len(problems) == 3
 
 
 # ------------------------------------------------- replay-path hardening
 
 def _world_table():
-    from repro.mpilib.comm import Group
-
     class _WorldStub:
         group = Group(WORLD4)
 
@@ -330,12 +385,10 @@ def test_compacted_restart_is_bit_identical_and_small(cluster):
         "compaction must shrink replay work by far more than a constant"
     assert check_replay_consistency(ckpt_comp) == []
 
-    # every entry the compacted image kept corresponds to a live handle:
-    # nothing was freed between the cut and the replay's end of log
+    # every entry the compacted image holds describes a live handle, and
+    # each replays in one step
     stats = ckpt_comp.meta["log_compaction"]
-    assert stats["kept"] == comp.replayed_entries
-    assert stats["cancelled_pairs"] > 0
-    assert stats["elided_local"] > 0
+    assert stats["examined"] > stats["kept"] == comp.replayed_entries
 
 
 def test_replay_frees_release_lower_half_handles(cluster):
@@ -391,6 +444,64 @@ def test_corrupted_image_surfaces_replay_error(cluster):
         job2.run_to_completion()
 
 
+def _file_on_freed_comm_factory(n_steps):
+    """Each parity half opens a file on its split and frees the split at
+    once; every step then writes through the still-open file."""
+
+    def _init(s):
+        s["v"] = float(s["rank"])
+
+    def _split(s, api):
+        return api.comm_split(color=s["rank"] % 2, key=s["rank"])
+
+    def _open(s, api):
+        return api.file_open(f"/out/half{s['rank'] % 2}.dat", "rw",
+                             comm=s["half"])
+
+    def _free(s, api):
+        api.comm_free(s["half"])
+        return _done(api)
+
+    def _write(s, api):
+        offset = (s["step"] * 2 + s["rank"] // 2) * 8
+        return api.file_write_at(s["fh"], offset, np.array([s["v"]]).tobytes())
+
+    def _advance(s):
+        s["v"] += 1.0
+
+    def factory(rank, size):
+        return Program(Seq(
+            Compute(_init),
+            Call(_split, store="half"),
+            Call(_open, store="fh"),
+            Call(_free),
+            Loop(n_steps, Seq(
+                Call(_write, store="_w"),
+                Compute(_advance, cost=0.3e-3),
+            ), var="step"),
+        ), name="file-on-freed-comm")
+
+    return factory
+
+
+def test_compacted_restart_reopens_a_file_whose_comm_was_freed(cluster):
+    factory = _file_on_freed_comm_factory(n_steps=8)
+    golden = _fingerprint_of_baseline(cluster, factory)
+    ckpt, job2 = _cycle(cluster, factory, 0.002, compact=True)
+
+    log = ckpt.image_for(1).restore_state()["log"]
+    split_vid, fh = job2.states[1]["half"], job2.states[1]["fh"]
+    assert [(e.op, e.args, e.result_vid) for e in log["entries"]] == [
+        ("comm_create_group", ((1, 3), 0, None), split_vid),
+        ("file_open", (split_vid, "/out/half1.dat", "rw"), fh),
+        ("comm_free", (split_vid,), None),
+    ]
+    assert state_fingerprint(job2.states) == golden
+    assert check_handle_ledger(job2) == []
+    assert job2.runtimes[1].table.resolve(HandleKind.FILE, fh).real.comm \
+        .group.world_ranks == (1, 3)
+
+
 def test_compact_then_noncompact_checkpoint_carries_local_bindings(cluster):
     """Carry-forward: once local creates were compacted away, later
     non-compact checkpoints must ship the value bindings instead."""
@@ -434,7 +545,7 @@ def test_compact_then_noncompact_checkpoint_carries_local_bindings(cluster):
 
 # ----------------------------------------- property: compacted ≡ full
 
-_COMM_OPS = ("dup", "split_u", "split_p")
+_COMM_OPS = ("dup", "split_u", "split_p", "cart", "create_p")
 _OPS = _COMM_OPS + ("type", "group")
 
 
@@ -455,17 +566,22 @@ def _scripted_factory(script):
             return api.comm_split(color=0, key=s["rank"])
         if op == "split_p":
             return api.comm_split(color=s["rank"] % 2, key=s["rank"])
+        if op == "cart":
+            return api.cart_create([2, 2], [True, False])
+        if op == "create_p":  # ranks 0-2 get a communicator, 3 gets None
+            return api.comm_create(Group((0, 1, 2)))
         return _done(api, None)
 
     def _use(s, api):
         op, delay = script[s["step"]]
         step = s["step"]
         if op in _COMM_OPS:
-            # a blocking Call fn must not mutate program state: a cut
-            # inside the allreduce re-executes this leaf at restart
-            return api.allreduce(np.array([float(s["rank"] + step)]), SUM,
-                                 comm=s["made"], size=16)
-        if op == "type":
+            if s["made"] is not None:  # not a comm_create non-member
+                # a blocking Call fn must not mutate program state: a cut
+                # inside the allreduce re-executes this leaf at restart
+                return api.allreduce(np.array([float(s["rank"] + step)]),
+                                     SUM, comm=s["made"], size=16)
+        elif op == "type":
             tvid = api.type_contiguous(2 + step % 6, DOUBLE)
             s["checksum"] += api.resolve_type(tvid).extent * 1e-6
             s["due"].append((step + delay, "type", tvid))
@@ -479,7 +595,7 @@ def _scripted_factory(script):
 
     def _note_comm(s):
         op, delay = script[s["step"]]
-        if op in _COMM_OPS:
+        if op in _COMM_OPS and s["made"] is not None:
             s["due"].append((s["step"] + delay, "comm", s["made"]))
 
     def _retire(s, api):

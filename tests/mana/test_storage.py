@@ -71,12 +71,14 @@ def test_corruption_detected(cluster, checkpoint, tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_bad_magic_detected(cluster, checkpoint, tmp_path):
+def test_corrupt_image_detected(cluster, checkpoint, tmp_path):
+    """Overwritten bytes under an unchanged manifest fail the digest check
+    (a wrong header under a true digest: test_image_corpus.py)."""
     save_checkpoint(checkpoint, tmp_path / "ckpt")
     victim = tmp_path / "ckpt" / "rank_00001.img"
     blob = victim.read_bytes()
     victim.write_bytes(b"NOTMANA!" + blob[8:])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="digest mismatch"):
         load_checkpoint(tmp_path / "ckpt")
 
 

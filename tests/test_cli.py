@@ -2,6 +2,8 @@
 
 import io
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -154,3 +156,35 @@ def test_facility_sweep_table():
     assert "facility sweep" in text
     for token in ("backfill", "fifo", "tiny", "mixed", "priority"):
         assert token in text
+
+
+CORPUS_SET = (pathlib.Path(__file__).parent / "mana" / "images"
+              / "commchurn_v4")
+
+
+def test_inspect_of_a_corrupt_set_is_a_one_line_error(tmp_path, capsys):
+    directory = tmp_path / "ckpt"
+    shutil.copytree(CORPUS_SET, directory)
+    victim = directory / "rank_00001.img"
+    blob = bytearray(victim.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    victim.write_bytes(bytes(blob))
+    code, _text = run_cli("inspect", "--ckpt", str(directory))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("repro: error: ") and "digest mismatch" in err
+    assert err.count("\n") == 1
+
+
+def test_run_out_over_another_rank_count_is_a_one_line_error(tmp_path,
+                                                            capsys):
+    directory = tmp_path / "ckpt"
+    shutil.copytree(CORPUS_SET, directory)  # a 4-rank set
+    code, _text = run_cli(
+        "run", "--app", "gromacs", "--ranks", "2", "--nodes", "1",
+        "--steps", "3", "--checkpoint-at", "0.001", "--out", str(directory),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"repro: error: {directory} holds a 4-rank checkpoint, "
+                   "not 2 ranks\n")
