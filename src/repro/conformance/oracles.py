@@ -172,9 +172,12 @@ def check_replay_consistency(ckpt) -> list[Divergence]:
     that never comes; each missing holder is a ``replay_consistency``
     divergence.
     """
+    from repro.mana.record_replay import iter_rows
+
     held = [
-        {e.args[:2] for e in image.restore_state()["log"]["entries"]
-         if e.op == "comm_create_group"}
+        {args[:2] for op, args, _vid, _kind
+         in iter_rows(image.restore_state()["log"]["chunks"])
+         if op == "comm_create_group"}
         for image in ckpt.images
     ]
     return [
@@ -197,7 +200,7 @@ def check_replay_accounting(ckpt, report) -> list[Divergence]:
     number of entries stored in the images — a wedged pump, a skipped
     entry, or a double replay all break the equality.
     """
-    entries = sum(len(image.restore_state()["log"]["entries"])
+    entries = sum(image.restore_state()["log"]["length"]
                   for image in ckpt.images)
     if report.replayed_entries == entries:
         return []
@@ -217,7 +220,8 @@ def check_handle_ledger(job) -> list[Divergence]:
     half still holds) must be reachable from some rank's bound virtual
     handles — a replay path that rebuilds a handle without releasing the
     old one, or frees the upper-half binding without the lower-half
-    resource, diverges here.
+    resource, diverges here.  A communicator freed while a file opened on
+    it is still open is reachable through that file, which holds it.
     """
     from repro.mana.virtualize import HandleKind
 
@@ -232,7 +236,7 @@ def check_handle_ledger(job) -> list[Divergence]:
                 for rt in job.runtimes
             )
         else:
-            bound = sum(len(rt.table.bound(hkind)) for rt in job.runtimes)
+            bound = sum(len(_held_comms(rt.table)) for rt in job.runtimes)
         live = job.world.ledger.live(kind)
         if live != bound:
             out.append(Divergence(
@@ -241,6 +245,16 @@ def check_handle_ledger(job) -> list[Divergence]:
                        f"(ledger vs virtual tables)",
             ))
     return out
+
+
+def _held_comms(table) -> set:
+    """Virtual ids of the communicators a rank holds: the bound ones, and
+    the freed ones an open file was opened on."""
+    from repro.mana.virtualize import HandleKind
+
+    files = table.bound(HandleKind.FILE).values()
+    return set(table.bound(HandleKind.COMM)).union(
+        f.vcomm for f in files if not f.real.closed)
 
 
 def check_conservation(

@@ -19,17 +19,19 @@ import io
 import pickle
 from dataclasses import dataclass, field
 
-from repro.mana.record_replay import LogEntry
+from repro.mana.record_replay import encode_chunks
 from repro.memory.region import Half, MemoryRegion
 
 #: Shape version of the restore payload, stamped on every image.  Only this
 #: module knows older shapes (:func:`migrate`); every other reader assumes
 #: the current one.  On a change, bump it, add the step to :func:`migrate`
-#: and commit a new set to ``tests/mana/images``.  In schema 2 (no stamp) a
-#: log is an entry list or a dict, and an entry pickles as its ``__dict__``,
-#: its field tuple or a constructor call.  In schema 3 an entry is a
-#: constructor call with a fifth field, the result communicator's members.
-SCHEMA = 4
+#: and commit a new set to ``tests/mana/images``.  Schema 5 holds a log as
+#: the pickled chunks of its rows (``repro.mana.record_replay``).  Before,
+#: a log held ``LogEntry`` objects: in schema 2 (no stamp) an entry list or
+#: a dict, each entry pickled as its ``__dict__``, its field tuple or a
+#: constructor call; in schema 3 a constructor call with a fifth field, the
+#: result communicator's members; in schema 4 a call on four fields.
+SCHEMA = 5
 
 
 class CheckpointError(RuntimeError):
@@ -99,7 +101,7 @@ class CheckpointImage:
         """Unpickle the restore payload, in the current shape."""
         if self.schema == SCHEMA:
             return pickle.loads(self.payload)
-        if self.schema not in (2, 3):
+        if self.schema not in _OLD_SCHEMAS:
             raise CheckpointError(f"rank {self.rank}: image schema "
                                   f"{self.schema} is unknown to this reader")
         return migrate(_OldUnpickler(io.BytesIO(self.payload)).load(),
@@ -140,8 +142,13 @@ class CheckpointSet:
 
 # ------------------------------------------------------------- migration
 
+_OLD_SCHEMAS = (2, 3, 4)
+#: the fields of an old ``LogEntry``, the columns of a row
+_ROW_FIELDS = ("op", "args", "result_vid", "result_kind")
+
+
 class _OldEntry:
-    """A schema-2/3 log entry: constructed on its fields, or handed its
+    """A schema-2/3/4 log entry: constructed on its fields, or handed its
     state."""
 
     def __init__(self, *fields) -> None:
@@ -152,7 +159,7 @@ class _OldEntry:
 
 
 class _OldUnpickler(pickle.Unpickler):
-    """Reads a schema-2/3 payload, its log entries as :class:`_OldEntry`."""
+    """Reads a schema-2/3/4 payload, its log entries as :class:`_OldEntry`."""
 
     def find_class(self, module: str, name: str):
         if (module, name) == ("repro.mana.record_replay", "LogEntry"):
@@ -173,32 +180,32 @@ def _require(mapping: dict, keys: tuple, where: str) -> None:
         raise CheckpointError(f"old image: {where} has no {missing}")
 
 
-def _entry_from_old(i: int, state) -> LogEntry:
+def _row_from_old(i: int, state) -> tuple:
     if isinstance(state, dict):
-        _require(state, LogEntry.__slots__, f"log entry {i}")
-        state = tuple(state[name] for name in LogEntry.__slots__)
+        _require(state, _ROW_FIELDS, f"log entry {i}")
+        state = tuple(state[name] for name in _ROW_FIELDS)
     # a fifth field, the result communicator's members, is dropped
-    entry = LogEntry(*state[:len(LogEntry.__slots__)])
-    if entry.op == "type_create" and len(entry.args) != 1:
+    row = tuple(state[:len(_ROW_FIELDS)])
+    if row[0] == "type_create" and len(row[1]) != 1:
         raise CheckpointError(f"old image: log entry {i} (type_create) "
-                              f"has {len(entry.args)} args, not (recipe,)")
-    return entry
+                              f"has {len(row[1])} args, not (recipe,)")
+    return row
 
 
 def migrate(state: dict, from_schema: int) -> dict:
     """Bring a payload unpickled from a ``from_schema`` image to
-    :data:`SCHEMA`.  2 -> 4: a bare-list log takes the dict shape.  2 or
-    3 -> 4: entries become 4-field :class:`LogEntry` objects.  A shape no
-    committed set holds raises :class:`CheckpointError`.
+    :data:`SCHEMA`.  2 -> 5: a bare-list log takes the dict shape.  2, 3
+    or 4 -> 5: the entries become 4-field rows, sealed into chunks.  A
+    shape no committed set holds raises :class:`CheckpointError`.
     """
-    if from_schema not in (2, 3):
+    if from_schema not in _OLD_SCHEMAS:
         raise CheckpointError(f"no migration from image schema {from_schema}")
     _require(state, _PAYLOAD_KEYS, "the payload")
     log = state["log"]
     if isinstance(log, list):
         log = {"entries": log, "local": {}, "stats": None}
     _require(log, ("entries", "local", "stats"), "'log'")
-    log["entries"] = [_entry_from_old(i, e.state)
-                      for i, e in enumerate(log["entries"])]
-    state["log"] = log
+    rows = [_row_from_old(i, e.state) for i, e in enumerate(log["entries"])]
+    state["log"] = {"chunks": encode_chunks(rows), "length": len(rows),
+                    "local": log["local"], "stats": log["stats"]}
     return state

@@ -9,6 +9,9 @@ of replaying its history, so restart cost tracks live handles.  This module
 is that pass: it ignores what the log holds and describes the virtual-handle
 table as it stands when the image is cut.
 
+A compacted job's :class:`~repro.mana.record_replay.RecordLog` keeps no
+row of its history, only the count (``CompactionStats.examined``).
+
 **Communicators.**  Each live communicator other than ``VCOMM_WORLD``
 becomes one ``comm_create_group`` entry with args ``(world_ranks, k,
 topology)``: its members in rank order, its index ``k`` among this rank's
@@ -37,15 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.mana.record_replay import LogEntry
 from repro.mana.virtualize import VCOMM_WORLD, HandleKind, VirtualHandleTable
+
+_COMM, _FILE = HandleKind.COMM, HandleKind.FILE
 
 
 @dataclass
 class CompactionStats:
     """What one rank's compaction pass did (stored in the image)."""
 
-    #: entries in the log the image replaces
+    #: calls in the log the image replaces
     examined: int = 0
     #: descriptor entries the image holds instead
     kept: int = 0
@@ -65,6 +69,7 @@ class CompactionStats:
 class CompactionResult:
     """Descriptor entries, local value bindings and the pass statistics."""
 
+    #: rows ``(op, args, result_vid, result_kind)``, in replay order
     entries: list = field(default_factory=list)
     #: kind name -> {vid -> ("group", ranks) | ("datatype", recipe)}
     local: dict = field(default_factory=dict)
@@ -90,11 +95,9 @@ def local_payloads(table: VirtualHandleTable) -> dict:
     return local
 
 
-def compact_log(entries: list, table: VirtualHandleTable) -> CompactionResult:
-    """One rank's compaction pass: describe the live handles of ``table``.
-
-    ``entries`` is the log the image replaces; only its length is read.
-    """
+def compact_log(examined: int, table: VirtualHandleTable) -> CompactionResult:
+    """One rank's compaction pass: describe the live handles of ``table``
+    in place of the ``examined`` calls the job recorded."""
     comms = table.bound(HandleKind.COMM)
     files = sorted(table.bound(HandleKind.FILE).items())
     # a freed communicator a live file was opened on is rebuilt too
@@ -112,22 +115,20 @@ def compact_log(entries: list, table: VirtualHandleTable) -> CompactionResult:
         k = seen.get(ranks, 0)
         seen[ranks] = k + 1
         keys[vid] = (ranks, k)
-        items[(ranks, k)] = [LogEntry(
-            "comm_create_group", (ranks, k, real.topology), vid,
-            HandleKind.COMM)]
+        items[(ranks, k)] = [
+            ("comm_create_group", (ranks, k, real.topology), vid, _COMM)]
     for vid, binding in files:
-        items[keys[binding.vcomm]].append(LogEntry(
-            "file_open", (binding.vcomm, binding.path, binding.mode), vid,
-            HandleKind.FILE))
+        items[keys[binding.vcomm]].append(
+            ("file_open", (binding.vcomm, binding.path, binding.mode), vid,
+             _FILE))
     for vid in rebuilt:
         if vid not in comms:
-            items[keys[vid]].append(
-                LogEntry("comm_free", (vid,), None, HandleKind.COMM))
+            items[keys[vid]].append(("comm_free", (vid,), None, _COMM))
 
     out = [entry for key in sorted(items) for entry in items[key]]
     local = local_payloads(table)
     stats = CompactionStats(
-        examined=len(entries), kept=len(out),
+        examined=examined, kept=len(out),
         snapshot_bindings=sum(len(v) for v in local.values()))
     return CompactionResult(entries=out, local=local, stats=stats)
 

@@ -275,7 +275,7 @@ class ManaRankRuntime:
         #: driver is dead.  Set by :meth:`kill`.
         self.alive = True
         self.table = VirtualHandleTable()
-        self.log = RecordLog()
+        self.log = RecordLog(compact=options.compact)
         self.counters = P2pCounters()
         self.buffer = DrainBuffer()
         self.protocol = RankProtocol()
@@ -777,8 +777,7 @@ class ManaRankRuntime:
 
     def capture_state(self) -> dict:
         """The picklable restore payload (everything upper-half)."""
-        log_snap = self.log.snapshot(compact=self.options.compact,
-                                     table=self.table)
+        log_snap = self.log.snapshot(table=self.table)
         self.last_compaction = log_snap["stats"]
         return {
             "interp": self.driver.interp.snapshot(),

@@ -57,6 +57,8 @@ class VirtualHandleTable:
         self._real: dict[str, dict[int, Any]] = {k.value: {} for k in HandleKind}
         #: ``_real["comm"]``, the map every p2p wrapper call reads
         self._comms = self._real[_COMM.value]
+        #: ``_real["file"]``, read by every communicator free
+        self._files = self._real[HandleKind.FILE.value]
         #: vids whose real side was discarded (restore / clear_reals) and
         #: that replay is therefore entitled to rebind
         self._expected: dict[str, set[int]] = {k.value: set() for k in HandleKind}
@@ -161,6 +163,17 @@ class VirtualHandleTable:
     def bound(self, kind: HandleKind) -> dict[int, Any]:
         """Snapshot of the current bindings of one kind."""
         return dict(self._real[kind._value_])
+
+    def file_holds(self, vcomm: int) -> bool:
+        """True if an open file was opened on communicator ``vcomm``: in MPI
+        the file keeps its communicator until MPI_File_close, even after
+        MPI_Comm_free (see repro.mana.wrappers.close_file)."""
+        files = self._files
+        if files:
+            for binding in files.values():
+                if binding.vcomm == vcomm:
+                    return True
+        return False
 
     # -------------------------------------------------------- persistence
 

@@ -30,6 +30,7 @@ from repro.mana.virtualize import (
     LOOKUP_COST,
     VCOMM_WORLD,
     HandleKind,
+    VirtualHandleTable,
     VirtualizationError,
 )
 from repro.mpilib.comm import ANY_SOURCE, ANY_TAG, Communicator, Group
@@ -71,6 +72,17 @@ class FileBinding:
     vcomm: int
     path: str
     mode: str
+
+
+def close_file(table: VirtualHandleTable, vfile: int) -> None:
+    """MPI_File_close: close the real file and retire ``vfile``; the last
+    file on a communicator freed meanwhile releases that communicator."""
+    binding = table.resolve(_FILE, vfile)
+    binding.real.close()
+    table.unregister(_FILE, vfile)
+    vcomm = binding.vcomm
+    if vcomm not in table.bound(_COMM) and not table.file_holds(vcomm):
+        binding.real.endpoint.comm_free(binding.real.comm)
 
 
 class _TwoPhaseCall:
@@ -414,12 +426,17 @@ class ManaApi(MpiApi):
         vcomm: Optional[int],
         issue: Callable[[Communicator], Completion],
         persist: Optional[tuple] = None,
+        real: Optional[Communicator] = None,
     ) -> Completion:
-        """The two-phase wrapper: trivial barrier, then the real call."""
+        """The two-phase wrapper: trivial barrier, then the real call.
+
+        ``real`` is given for a file's collective: the communicator the
+        file holds, which may have no virtual handle left."""
         rt = self.rt
-        real = rt.table.resolve(
-            _COMM, VCOMM_WORLD if vcomm is None else vcomm
-        )
+        if real is None:
+            real = rt.table.resolve(
+                _COMM, VCOMM_WORLD if vcomm is None else vcomm
+            )
         if rt.profile is not None:
             rt.profile_op(label)
         out = Completion(rt.engine, self._labels[label])
@@ -661,9 +678,14 @@ class ManaApi(MpiApi):
         )
 
     def comm_free(self, vcomm: int) -> None:
-        """Retire the virtual handle, release the real one, log the free."""
+        """Retire the virtual handle, release the real one, log the free.
+
+        An open file opened on ``vcomm`` holds the real communicator until
+        MPI_File_close (:func:`close_file`) releases it."""
         rt = self.rt
-        rt.endpoint.comm_free(rt.unregister_comm(vcomm))
+        real = rt.unregister_comm(vcomm)
+        if not rt.table.file_holds(vcomm):
+            rt.endpoint.comm_free(real)
         rt.log.record("comm_free", (vcomm,), None)
 
     # --------------------------------------------------------------- files
@@ -720,27 +742,29 @@ class ManaApi(MpiApi):
 
     def file_write_at_all(self, vfile: int, offset: int, data: bytes,
                           size: Optional[int] = None) -> Completion:
-        """Collective write (two-phase wrapped)."""
+        """Collective write (two-phase wrapped) over the file's
+        communicator."""
         binding = self._resolve_file(vfile)
         return self._collective(
             "file_write_at_all", binding.vcomm,
             lambda _c: binding.real.write_at_all(offset, data, size=size),
+            real=binding.real.comm,
         )
 
     def file_read_at_all(self, vfile: int, offset: int, length: int,
                          size: Optional[int] = None) -> Completion:
-        """Collective read (two-phase wrapped)."""
+        """Collective read (two-phase wrapped) over the file's
+        communicator."""
         binding = self._resolve_file(vfile)
         return self._collective(
             "file_read_at_all", binding.vcomm,
             lambda _c: binding.real.read_at_all(offset, length, size=size),
+            real=binding.real.comm,
         )
 
     def file_close(self, vfile: int) -> None:
         """Close and retire the handle; recorded for replay."""
-        binding = self._resolve_file(vfile)
-        binding.real.close()
-        self.rt.table.unregister(_FILE, vfile)
+        close_file(self.rt.table, vfile)
         self.rt.log.record("file_close", (vfile,), None,
                            result_kind=_FILE)
 

@@ -13,6 +13,7 @@ from repro.conformance import (
     check_replay_accounting,
     state_fingerprint,
 )
+from repro.mana.record_replay import iter_rows
 from repro.mana.storage import load_checkpoint
 
 IMAGES = pathlib.Path(__file__).parents[1] / "mana" / "images"
@@ -115,7 +116,7 @@ def test_replay_accounting_reports_one_divergence_per_miscount():
     """One entry too few is one divergence, also for a compacted set whose
     logs hold no free."""
     ckpt = load_checkpoint(IMAGES / "commchurn_v3_compact")
-    held = sum(len(image.restore_state()["log"]["entries"])
+    held = sum(len(list(iter_rows(image.restore_state()["log"]["chunks"])))
                for image in ckpt.images)
     short = SimpleNamespace(replayed_entries=held - 1)
     divergences = check_replay_accounting(ckpt, short)

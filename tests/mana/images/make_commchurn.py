@@ -25,7 +25,9 @@ are read as image schema 2 (see :mod:`repro.mana.checkpoint_image`):
 * ``commchurn_v3_compact``: schema 3 with ``--compact``: each log is the
   pruned subsequence of the full one that schema-3 compaction kept (the
   live dup and the split derived from it);
-* ``commchurn_v4``: schema 4; an entry has four fields.
+* ``commchurn_v4``: schema 4; an entry has four fields;
+* ``commchurn_v5``: schema 5; a log is the pickled chunks of its
+  ``(op, args, result_vid, result_kind)`` rows, no ``LogEntry`` object.
 
 Running this script writes images in the current format.  When the image
 schema changes again, write a new versioned directory with it; do not

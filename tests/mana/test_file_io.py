@@ -86,7 +86,7 @@ def test_file_handle_is_virtual(cluster):
                       app_mem_bytes=1 << 20).start()
     job.run_to_completion()
     assert isinstance(job.states[0]["fh"], int)
-    ops = [e.op for e in job.runtimes[0].log.entries]
+    ops = [row[0] for row in job.runtimes[0].log.rows()]
     assert ops[0] == "file_open"
     assert ops[-1] == "file_close"
 
@@ -167,3 +167,108 @@ def test_file_read_at_all_under_mana(cluster):
                       app_mem_bytes=1 << 20).start()
     job.run_to_completion()
     assert all(s["data"] == b"shared-content" for s in job.states)
+
+
+def freed_comm_writer_factory(n_steps=4):
+    """Each parity half splits off, opens a file on its split, frees the
+    split at once, then writes every step through a collective write on
+    the file (legal MPI: the file holds its own communicator reference)
+    and closes the file at the end."""
+
+    def factory(rank, size):
+        def init(s):
+            s["v"] = float(s["rank"] * 100)
+
+        def split(s, api):
+            return api.comm_split(color=s["rank"] % 2, key=s["rank"])
+
+        def open_file(s, api):
+            return api.file_open(f"/out/half{s['rank'] % 2}.dat", "rw",
+                                 comm=s["half"])
+
+        def free(s, api):
+            api.comm_free(s["half"])
+            done = Completion(api.rt.engine)
+            done.resolve(None)
+            return done
+
+        def write_step(s, api):
+            offset = (s["step"] * 2 + s["rank"] // 2) * 8
+            return api.file_write_at_all(s["fh"], offset,
+                                         np.array([s["v"]]).tobytes())
+
+        def advance(s):
+            s["v"] += 1.0
+
+        def close_file(s, api):
+            api.file_close(s["fh"])
+            done = Completion(api.rt.engine)
+            done.resolve(None)
+            return done
+
+        return Program(Seq(
+            Compute(init),
+            Call(split, store="half"),
+            Call(open_file, store="fh"),
+            Call(free),
+            Loop(n_steps, Seq(
+                Call(write_step, store="_w"),
+                Compute(advance, cost=0.3),
+            ), var="step"),
+            Call(close_file),
+        ), name="freed-comm-writer")
+
+    return factory
+
+
+def _half_rows(fs, n_steps):
+    return [read_results(fs, f"/out/half{h}.dat", n_steps, 2) for h in (0, 1)]
+
+
+def test_collective_io_on_a_file_whose_comm_was_freed(cluster):
+    """The file pins its communicator until MPI_File_close: collective I/O
+    after MPI_Comm_free works, and the close releases the communicator."""
+    from repro.conformance.oracles import check_handle_ledger
+
+    job = launch_mana(cluster, freed_comm_writer_factory(3), n_ranks=4,
+                      ranks_per_node=2, app_mem_bytes=1 << 20)
+    job.start()
+    job.run_until(0.5)  # inside the loop: the split is freed, the file open
+    assert check_handle_ledger(job) == []
+    assert job.world.ledger.live("comm") == 4 + 4  # worlds + the held splits
+    job.run_to_completion()
+    assert _half_rows(cluster.fs, 3) == [
+        [[0.0, 200.0], [1.0, 201.0], [2.0, 202.0]],
+        [[100.0, 300.0], [101.0, 301.0], [102.0, 302.0]],
+    ]
+    assert check_handle_ledger(job) == []
+    assert job.world.ledger.live("comm") == 4
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_freed_comm_file_survives_restart(compact):
+    from repro.conformance.oracles import check_handle_ledger, state_fingerprint
+
+    factory = freed_comm_writer_factory(4)
+    base_fs = SimFilesystem()
+    baseline = launch_mana(make_cluster("b", 2, interconnect="aries",
+                                        fs=base_fs),
+                           factory, n_ranks=4, ranks_per_node=2,
+                           app_mem_bytes=1 << 20).start()
+    baseline.run_to_completion()
+
+    shared_fs = SimFilesystem()
+    src = make_cluster("src", 2, interconnect="aries", fs=shared_fs)
+    job = launch_mana(src, factory, n_ranks=4, ranks_per_node=2,
+                      app_mem_bytes=1 << 20, compact=compact).start()
+    ckpt, _ = job.checkpoint_at(0.5)
+    dst = make_cluster("dst", 4, interconnect="infiniband", fs=shared_fs)
+    job2 = restart(ckpt, dst, factory, ranks_per_node=1, mpi="openmpi")
+    while not job2.resumed.done:
+        assert job2.engine.step()
+    assert check_handle_ledger(job2) == []
+    job2.run_to_completion()
+    assert state_fingerprint(job2.states) == state_fingerprint(baseline.states)
+    assert _half_rows(shared_fs, 4) == _half_rows(base_fs, 4)
+    assert check_handle_ledger(job2) == []
+    assert job2.world.ledger.live("comm") == 4

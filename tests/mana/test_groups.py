@@ -80,7 +80,7 @@ def test_group_algebra_and_comm_create(cluster):
 def test_group_ops_are_logged(cluster):
     job = run(cluster, group_factory())
     job.run_to_completion()
-    ops = [e.op for e in job.runtimes[0].log.entries]
+    ops = [row[0] for row in job.runtimes[0].log.rows()]
     assert ops[:3] == ["comm_group", "group_excl", "comm_create"]
 
 

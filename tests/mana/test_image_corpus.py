@@ -21,7 +21,7 @@ import pytest
 
 from repro.mana import record_replay
 from repro.mana.checkpoint_image import SCHEMA, CheckpointError, _OldUnpickler
-from repro.mana.record_replay import LogEntry
+from repro.mana.record_replay import iter_rows
 from repro.mana.storage import load_checkpoint
 from repro.mana.virtualize import HandleKind
 
@@ -30,8 +30,14 @@ from tests.mana.images.make_commchurn import restart_fingerprint
 IMAGES = pathlib.Path(__file__).parent / "images"
 #: every committed set, oldest first
 CORPUS = ["commchurn_v1", "commchurn_v1_tuple", "commchurn_v2", "commchurn_v3",
-          "commchurn_v3_compact", "commchurn_v4"]
-FIRST_ENTRY = LogEntry("comm_dup", (1,), 1000, HandleKind.COMM)
+          "commchurn_v3_compact", "commchurn_v4", "commchurn_v5"]
+FIRST_ENTRY = ("comm_dup", (1,), 1000, HandleKind.COMM)
+#: the fields of the ``LogEntry`` objects older schemas pickled
+FIELDS = ("op", "args", "result_vid", "result_kind")
+
+
+def _rows(log: dict) -> list:
+    return list(iter_rows(log["chunks"]))
 
 
 def _golden(name: str) -> dict:
@@ -45,36 +51,37 @@ def test_commchurn_v1_log_covers_the_churn_ops():
     assert image.schema == 2
     log = image.restore_state()["log"]
     assert log["local"] == {} and log["stats"] is None
-    ops = {entry.op for entry in log["entries"]}
-    assert {"comm_dup", "comm_split", "type_create"} <= ops
-    # every field lands in its own slot, not the state dict's keys
-    assert log["entries"][0] == FIRST_ENTRY
-    assert all(isinstance(e.result_kind, HandleKind) for e in log["entries"])
+    rows = _rows(log)
+    assert log["length"] == len(rows)
+    assert {"comm_dup", "comm_split", "type_create"} <= {r[0] for r in rows}
+    # every field lands in its own column, not the state dict's keys
+    assert rows[0] == FIRST_ENTRY
+    assert all(isinstance(row[3], HandleKind) for row in rows)
 
 
 def test_log_entries_are_slotted_and_read_both_pickle_states():
-    entry = LogEntry("comm_split", (1, 0, 2), 1001, HandleKind.COMM)
-    assert not hasattr(entry, "__dict__")
-    assert pickle.loads(pickle.dumps(entry)) == entry
-    # the __dict__ state of commchurn_v1, the field tuple of _v1_tuple
+    """Old entries, pickled as the ``__dict__`` state of commchurn_v1 or
+    the field tuple of _v1_tuple, are read as plain 4-field rows."""
     for name in ("commchurn_v1", "commchurn_v1_tuple"):
         image = load_checkpoint(IMAGES / name).images[0]
-        entries = image.restore_state()["log"]["entries"]
-        assert entries[0] == FIRST_ENTRY
-        assert all(e.__class__ is LogEntry for e in entries)
+        rows = _rows(image.restore_state()["log"])
+        assert rows[0] == FIRST_ENTRY
+        assert all(row.__class__ is tuple and len(row) == 4 for row in rows)
+        assert not hasattr(rows[0], "__dict__")
 
 
 def test_commchurn_v2_entries_load_without_state_hooks():
     """Entries pickled as calls of ``LogEntry`` on their (then five) fields
-    are read by those calls alone: today's class has no state hook."""
-    assert not hasattr(LogEntry, "__setstate__")
+    are read by those calls alone, into rows: no class of today's code is
+    named in an old payload."""
+    assert not hasattr(record_replay, "LogEntry")
     image = load_checkpoint(IMAGES / "commchurn_v2").images[0]
     raw = _OldUnpickler(io.BytesIO(image.payload)).load()["log"]
     assert isinstance(raw, list)
     assert all(len(e.state) == 5 for e in raw)
-    log = image.restore_state()["log"]["entries"]
-    assert {"comm_dup", "comm_split", "type_create"} <= {e.op for e in log}
-    assert log[0] == FIRST_ENTRY
+    rows = _rows(image.restore_state()["log"])
+    assert {"comm_dup", "comm_split", "type_create"} <= {r[0] for r in rows}
+    assert rows[0] == FIRST_ENTRY
 
 
 def test_newest_set_has_the_current_schema():
@@ -83,8 +90,10 @@ def test_newest_set_has_the_current_schema():
     image = load_checkpoint(IMAGES / CORPUS[-1]).images[0]
     assert image.schema == SCHEMA
     log = pickle.loads(image.payload)["log"]
-    assert set(log) == {"entries", "local", "stats"}
-    assert log["entries"][0] == FIRST_ENTRY
+    assert set(log) == {"chunks", "length", "local", "stats"}
+    assert all(isinstance(chunk, bytes) for chunk in log["chunks"])
+    assert _rows(log)[0] == FIRST_ENTRY
+    assert len(_rows(log)) == log["length"]
 
 
 def test_schema3_entries_lose_the_member_field():
@@ -92,9 +101,20 @@ def test_schema3_entries_lose_the_member_field():
     as the first four."""
     image = load_checkpoint(IMAGES / "commchurn_v3").images[0]
     assert image.schema == 3
-    entries = image.restore_state()["log"]["entries"]
-    assert entries[0] == FIRST_ENTRY
-    assert all(e.__class__ is LogEntry for e in entries)
+    rows = _rows(image.restore_state()["log"])
+    assert rows[0] == FIRST_ENTRY
+    assert all(len(row) == 4 for row in rows)
+
+
+def test_schema4_entries_become_sealed_rows():
+    """A schema-4 entry, a call of ``LogEntry`` on four fields, is read as
+    a row, and the rows are sealed into chunks as the current code would."""
+    image = load_checkpoint(IMAGES / "commchurn_v4").images[0]
+    assert image.schema == 4
+    log = image.restore_state()["log"]
+    assert _rows(log)[0] == FIRST_ENTRY
+    assert log["length"] == len(_rows(log))
+    assert all(isinstance(chunk, bytes) for chunk in log["chunks"])
 
 
 def test_commchurn_v3_compact_holds_a_pruned_log():
@@ -103,7 +123,7 @@ def test_commchurn_v3_compact_holds_a_pruned_log():
     for image in load_checkpoint(IMAGES / "commchurn_v3_compact").images:
         log = image.restore_state()["log"]
         assert log["stats"]["examined"] > log["stats"]["kept"]
-        assert [e.op for e in log["entries"]] == ["comm_dup", "comm_split"]
+        assert [row[0] for row in _rows(log)] == ["comm_dup", "comm_split"]
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -138,7 +158,7 @@ def _schema2_image(monkeypatch, state: dict):
     """An image of ``state`` as the code before the schema stamp wrote it."""
     template = load_checkpoint(IMAGES / "commchurn_v2").images[0]
     with monkeypatch.context() as patch:
-        patch.setattr(record_replay, "LogEntry", _StateEntry)
+        patch.setattr(record_replay, "LogEntry", _StateEntry, raising=False)
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     return dataclasses.replace(template, payload=payload, schema=2)
 
@@ -147,8 +167,8 @@ def _schema2_state() -> dict:
     """commchurn_v1's rank-0 payload as written: a bare-list log of
     entries pickled as their ``__dict__``."""
     state = load_checkpoint(IMAGES / "commchurn_v1").images[0].restore_state()
-    state["log"] = [_StateEntry({f: getattr(e, f) for f in LogEntry.__slots__})
-                    for e in state["log"]["entries"]]
+    state["log"] = [_StateEntry(dict(zip(FIELDS, row)))
+                    for row in _rows(state["log"])]
     return state
 
 
@@ -156,7 +176,7 @@ def test_schema2_stand_in_restores(monkeypatch):
     """``_schema2_image`` writes what the old code wrote: unaltered, its
     image restores."""
     state = _schema2_image(monkeypatch, _schema2_state()).restore_state()
-    assert state["log"]["entries"][0] == FIRST_ENTRY
+    assert _rows(state["log"])[0] == FIRST_ENTRY
 
 
 def _with_entries(*states):
@@ -179,9 +199,9 @@ def test_pre_corpus_entry_without_members_restores(monkeypatch, alter):
     """Nothing reads a communicator entry's members any more, so an entry
     that never recorded them restores like any other."""
     state = _schema2_image(monkeypatch, alter(_schema2_state())).restore_state()
-    entries = state["log"]["entries"]
-    assert entries[0].op in ("comm_dup", "comm_split")
-    assert all(e.__class__ is LogEntry for e in entries)
+    rows = _rows(state["log"])
+    assert rows[0][0] in ("comm_dup", "comm_split")
+    assert all(row.__class__ is tuple and len(row) == 4 for row in rows)
 
 
 @pytest.mark.parametrize("alter, missing", [

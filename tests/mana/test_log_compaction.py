@@ -23,10 +23,12 @@ from repro.mana import launch_mana, restart
 from repro.mana.checkpoint_image import CheckpointImage
 from repro.mana.log_compaction import compact_log
 from repro.mana.record_replay import (
-    LogEntry,
     RecordLog,
     ReplayEngine,
     ReplayError,
+    encode,
+    encode_chunks,
+    iter_rows,
 )
 from repro.mana.virtualize import VCOMM_WORLD, HandleKind, VirtualHandleTable
 from repro.mana.wrappers import FileBinding
@@ -41,7 +43,7 @@ WORLD4 = (0, 1, 2, 3)
 
 
 def _entry(op, args, vid, kind=HandleKind.COMM):
-    return LogEntry(op, tuple(args), vid, kind)
+    return (op, tuple(args), vid, kind)
 
 
 def _table(comms=(), files=(), freed=None):
@@ -62,8 +64,8 @@ def _table(comms=(), files=(), freed=None):
     return table
 
 
-def _summary(entries):
-    return [(e.op, e.args, e.result_vid) for e in entries]
+def _summary(rows):
+    return [(op, args, vid) for op, args, vid, _kind in rows]
 
 
 # --------------------------------------------------------- unit: compaction
@@ -73,7 +75,7 @@ def test_dead_dup_pair_cancels():
         _entry("comm_dup", (VCOMM_WORLD,), 1000),
         _entry("comm_free", (1000,), None),
     ]
-    result = compact_log(entries, _table())
+    result = compact_log(len(entries), _table())
     assert result.entries == []
     assert (result.stats.examined, result.stats.kept) == (2, 0)
 
@@ -83,7 +85,7 @@ def test_uniform_split_pair_cancels():
         _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000),
         _entry("comm_free", (1000,), None),
     ]
-    assert compact_log(entries, _table()).entries == []
+    assert compact_log(len(entries), _table()).entries == []
 
 
 def test_subset_split_pair_never_cancels():
@@ -94,9 +96,9 @@ def test_subset_split_pair_never_cancels():
         _entry("comm_split", (VCOMM_WORLD, 0, 0), 1000),
         _entry("comm_free", (1000,), None),
     ]
-    assert compact_log(pair, _table()).entries == []
+    assert compact_log(len(pair), _table()).entries == []
     live = _table(comms=[(1000, (0, 1), None)])
-    assert _summary(compact_log(pair[:1], live).entries) == [
+    assert _summary(compact_log(1, live).entries) == [
         ("comm_create_group", ((0, 1), 0, None), 1000)]
 
 
@@ -109,8 +111,8 @@ def test_nonmember_entry_always_kept():
         _entry("comm_dup", (VCOMM_WORLD,), 1002),
     ]
     table = _table(comms=[(1002, WORLD4, None)])
-    result = compact_log(entries, table)
-    assert result.entries == compact_log([], table).entries
+    result = compact_log(len(entries), table)
+    assert result.entries == compact_log(0, table).entries
     assert _summary(result.entries) == [
         ("comm_create_group", (WORLD4, 0, None), 1002)]
 
@@ -126,16 +128,16 @@ def test_comm_create_cancels_only_on_full_membership():
         _entry("comm_create", (VCOMM_WORLD, (0, 1)), 1001),
         _entry("comm_free", (1001,), None),
     ]
-    assert compact_log(full, _table()).entries == []
-    assert compact_log(subset, _table()).entries == []
+    assert compact_log(len(full), _table()).entries == []
+    assert compact_log(len(subset), _table()).entries == []
     live = _table(comms=[(1001, (0, 1), None)])
-    assert _summary(compact_log(subset[:1], live).entries) == [
+    assert _summary(compact_log(1, live).entries) == [
         ("comm_create_group", ((0, 1), 0, None), 1001)]
 
 
 def test_live_split_needs_no_parent():
     """A live split of a freed dup is one entry over its own members."""
-    result = compact_log([], _table(comms=[(1001, (0, 2), None)]))
+    result = compact_log(0, _table(comms=[(1001, (0, 2), None)]))
     assert _summary(result.entries) == [
         ("comm_create_group", ((0, 2), 0, None), 1001)]
 
@@ -151,7 +153,7 @@ def test_descriptors_sort_by_members_then_k():
         (1003, WORLD4, None),
         (1004, (0, 2), None),
     ])
-    assert _summary(compact_log([], table).entries) == [
+    assert _summary(compact_log(0, table).entries) == [
         ("comm_create_group", ((0, 1, 2), 0, None), 1002),
         ("comm_create_group", (WORLD4, 0, cart), 1001),
         ("comm_create_group", (WORLD4, 1, None), 1003),
@@ -170,7 +172,7 @@ def test_descriptors_never_free_a_live_handle():
                (5002, 1001, "/b")],
         freed={1000: (0, 1)},
     )
-    assert _summary(compact_log([], table).entries) == [
+    assert _summary(compact_log(0, table).entries) == [
         ("file_open", (VCOMM_WORLD, "/w", "rw"), 5001),
         ("comm_create_group", ((0, 1), 0, None), 1000),
         ("file_open", (1000, "/a", "rw"), 5000),
@@ -191,7 +193,7 @@ def test_local_entries_always_elided():
     ]
     table = _table()
     table.register(HandleKind.GROUP, Group(WORLD4), virtual=3000)
-    result = compact_log(entries, table)
+    result = compact_log(len(entries), table)
     assert result.entries == []
     # the live group rides as a value binding instead
     assert result.local == {"group": {3000: ("group", WORLD4)}}
@@ -205,7 +207,7 @@ class _Image:
         self.entries = entries
 
     def restore_state(self):
-        return {"log": {"entries": self.entries}}
+        return {"log": {"chunks": encode_chunks(self.entries)}}
 
 
 class _Set:
@@ -259,6 +261,14 @@ def test_unknown_op_raises_replay_error_up_front():
     log.record("comm_quadruplicate", (VCOMM_WORLD,), 1000)
     replay = ReplayEngine(Engine(), None, _world_table(), log)
     with pytest.raises(ReplayError, match="comm_quadruplicate"):
+        replay.start()
+
+
+def test_undecodable_chunk_raises_replay_error_up_front():
+    log = RecordLog()
+    log.chunks.append(b"not a pickled chunk")
+    replay = ReplayEngine(Engine(), None, _world_table(), log)
+    with pytest.raises(ReplayError, match="cannot be decoded"):
         replay.start()
 
 
@@ -430,8 +440,9 @@ def test_corrupted_image_surfaces_replay_error(cluster):
     img = ckpt.image_for(0)
     state = img.restore_state()
     snap = state["log"]
-    entries = snap["entries"] if isinstance(snap, dict) else snap
-    entries.append(LogEntry("comm_frobnicate", (VCOMM_WORLD,), 4242))
+    snap["chunks"].append(encode(
+        [("comm_frobnicate", (VCOMM_WORLD,), 4242, HandleKind.COMM)]))
+    snap["length"] += 1
     ckpt.images[0] = CheckpointImage(
         rank=img.rank, size_bytes=img.size_bytes, regions=img.regions,
         payload=pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
@@ -491,7 +502,7 @@ def test_compacted_restart_reopens_a_file_whose_comm_was_freed(cluster):
 
     log = ckpt.image_for(1).restore_state()["log"]
     split_vid, fh = job2.states[1]["half"], job2.states[1]["fh"]
-    assert [(e.op, e.args, e.result_vid) for e in log["entries"]] == [
+    assert _summary(iter_rows(log["chunks"])) == [
         ("comm_create_group", ((1, 3), 0, None), split_vid),
         ("file_open", (split_vid, "/out/half1.dat", "rw"), fh),
         ("comm_free", (split_vid,), None),

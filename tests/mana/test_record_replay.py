@@ -105,7 +105,7 @@ def test_comm_management_works_under_mana(cluster):
 
 def test_record_log_contains_persistent_calls(cluster):
     job = run_baseline(cluster, comm_mgmt_factory())
-    ops = [e.op for e in job.runtimes[0].log.entries]
+    ops = [row[0] for row in job.runtimes[0].log.rows()]
     assert ops[:4] == ["comm_split", "comm_dup", "cart_create", "type_create"]
 
 
@@ -256,11 +256,14 @@ def test_long_local_log_replays_without_recursion():
 def test_log_entries_carry_result_kind():
     """Non-comm creations must not rebind into the COMM namespace: the
     recorded entry carries its handle kind through the checkpoint image."""
-    from repro.mana.record_replay import LogEntry
+    from repro.mana.record_replay import RecordLog
 
     _world, _table, log = _build_local_heavy_table_and_log(8)
-    kinds = {e.op: e.result_kind for e in log.entries}
+    log2 = RecordLog()
+    log2.restore(log.snapshot())
+    kinds = {op: kind for op, _args, _vid, kind in log2.rows()}
     assert kinds["type_create"] is HandleKind.DATATYPE
     assert kinds["group_incl"] is HandleKind.GROUP
     # default stays COMM so comm-management entries are unchanged
-    assert LogEntry("comm_dup", (1,), 1000).result_kind is HandleKind.COMM
+    log2.record("comm_dup", (1,), 1000)
+    assert list(log2.rows())[-1] == ("comm_dup", (1,), 1000, HandleKind.COMM)

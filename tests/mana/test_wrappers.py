@@ -77,7 +77,7 @@ def test_datatype_virtualization(cluster):
     job = run_factory(cluster, factory)
     assert job.states[0]["extent"] == ((4 - 1) * 3 + 2) * 8
     assert isinstance(job.states[0]["vid"], int)
-    assert job.runtimes[0].log.entries[-1].op == "type_create"
+    assert list(job.runtimes[0].log.rows())[-1][0] == "type_create"
 
 
 def test_comm_free_retires_handle_and_logs(cluster):
@@ -97,7 +97,7 @@ def test_comm_free_retires_handle_and_logs(cluster):
 
     job = run_factory(cluster, factory)
     rt = job.runtimes[0]
-    assert [e.op for e in rt.log.entries] == ["comm_dup", "comm_free"]
+    assert [row[0] for row in rt.log.rows()] == ["comm_dup", "comm_free"]
     from repro.mana.virtualize import VirtualizationError
 
     with pytest.raises(VirtualizationError):
