@@ -16,7 +16,6 @@ One :class:`ManaRankRuntime` exists per MPI rank.  It owns the rank's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.mana.checkpoint_image import CheckpointImage
@@ -35,7 +34,7 @@ from repro.mana.virtualize import VCOMM_WORLD, HandleKind, VirtualHandleTable
 from repro.mana.wrappers import ManaApi
 from repro.obs.events import Category
 from repro.mpilib.comm import ANY_SOURCE, ANY_TAG, Communicator
-from repro.mpilib.world import MpiEndpoint, MsgRecord, Request, Status
+from repro.mpilib.world import MpiEndpoint, MsgRecord, Status
 from repro.mprog.ast import Program
 from repro.mprog.interp import Interpreter, ProgramState
 from repro.runtime.driver import RankDriver
@@ -159,21 +158,30 @@ class DrainBuffer:
         self._restored = len(self.entries)
 
 
-@dataclass(eq=False, slots=True)
 class PendingRecv:
     """A wrapper-level receive that has not yet returned data to the app
     (compared by identity: two receives with one envelope are distinct)."""
 
-    vcomm: int
-    src_world: int                 # world rank or ANY_SOURCE
-    tag: int
-    out: Completion
-    req: Optional[Request] = None  # lower-half request, if posted
-    active: bool = True
-    #: owning call-leaf instance (for the receive journal), if any
-    journal_key: Optional[tuple] = None
-    #: this receive's position among the leaf's receives
-    journal_pos: int = 0
+    __slots__ = ("vcomm", "source", "src_world", "tag", "out", "posted",
+                 "active", "journal_key", "journal_pos")
+
+    def __init__(self, vcomm: int, source: int, src_world: int, tag: int,
+                 out: Completion, journal_key: Optional[tuple],
+                 journal_pos: int) -> None:
+        self.vcomm = vcomm
+        #: comm-local source rank, or ANY_SOURCE
+        self.source = source
+        #: ``source`` as a world rank, or ANY_SOURCE
+        self.src_world = src_world
+        self.tag = tag
+        self.out = out
+        #: the lower-half posted receive, while one is posted
+        self.posted = None
+        self.active = True
+        #: owning call-leaf instance (for the receive journal), if any
+        self.journal_key = journal_key
+        #: this receive's position among the leaf's receives
+        self.journal_pos = journal_pos
 
 
 @dataclass
@@ -313,8 +321,15 @@ class ManaRankRuntime:
         #: buffer or the new lower half (otherwise messages consumed just
         #: before the checkpoint would be lost forever).
         self.recv_journal: dict[tuple, dict] = {}
-        #: per-execution receive cursor (transient)
-        self._recv_seq: dict[tuple, int] = {}
+        #: per-execution receive cursor (transient): the leaf instance
+        #: (its ``leaves_done``) of the last receive, and that receive's
+        #: position among the leaf's receives
+        self._recv_leaf = -1
+        self._recv_pos = 0
+        #: False while none of the per-leaf tables (sends_done, _send_seq,
+        #: recv_journal, vreq_sites, _vreq_seq, _waited_by_leaf) may hold
+        #: anything, so the leaf-done hook has nothing to retire
+        self._leaf_tables = False
         #: when this rank's CPU finishes its queued wrapper overheads
         self.cpu_busy_until = 0.0
         #: PMPI-style tracing (§4.2): when set (a dict), every interposed
@@ -407,6 +422,7 @@ class ManaRankRuntime:
         if key is None:
             post_fn(*args)
             return
+        self._leaf_tables = True
         pos = self._send_seq.get(key, 0)
         self._send_seq[key] = pos + 1
         if pos < self.sends_done.get(key, 0):
@@ -417,20 +433,24 @@ class ManaRankRuntime:
     def _on_leaf_done(self, key: tuple) -> None:
         """Driver hook: the leaf finished; its guard/journal state retires.
 
-        Runs after every call leaf, so it touches only the maps that hold
-        anything (a blocking send or receive leaves most of them empty).
+        Runs after every call leaf; one that touched none of the per-leaf
+        tables (a blocking send or receive) returns at once.
         """
-        for table in (self.sends_done, self._send_seq, self.recv_journal,
-                      self._recv_seq, self.vreq_sites, self._vreq_seq):
+        if not self._leaf_tables:
+            return
+        tables = (self.sends_done, self._send_seq, self.recv_journal,
+                  self.vreq_sites, self._vreq_seq)
+        for table in tables:
             if table:
                 table.pop(key, None)
-        if not self._waited_by_leaf:
-            return
-        for kind, vreq in self._waited_by_leaf.pop(key, ()):
-            if kind == "p2p":
-                self.vrequests.pop(vreq, None)
-            else:
-                self.icolls.pop(vreq, None)
+        waited = self._waited_by_leaf
+        if waited:
+            for kind, vreq in waited.pop(key, ()):
+                if kind == "p2p":
+                    self.vrequests.pop(vreq, None)
+                else:
+                    self.icolls.pop(vreq, None)
+        self._leaf_tables = bool(waited) or any(tables)
 
     # ------------------------------------- nonblocking p2p (virtual requests)
 
@@ -443,6 +463,7 @@ class ManaRankRuntime:
         """
         key = self.driver.current_call_key()
         if key is not None:
+            self._leaf_tables = True
             pos = self._vreq_seq.get(key, 0)
             self._vreq_seq[key] = pos + 1
             sites = self.vreq_sites.setdefault(key, [])
@@ -465,6 +486,7 @@ class ManaRankRuntime:
             else:
                 self.icolls.pop(vreq, None)
             return
+        self._leaf_tables = True
         self._waited_by_leaf.setdefault(key, []).append((kind, vreq))
 
     def vreq_resolve(self, rec: VRequest, value: Any) -> None:
@@ -479,11 +501,16 @@ class ManaRankRuntime:
         returns the thunk that attempts the match."""
         out = Completion(self.engine, self._irecv_label)
         rec.completion = out
-        pend = self.add_pending_recv(rec.vcomm, rec.src_world, rec.tag, out)
+        real = self.table.resolve(_COMM, rec.vcomm)
+        src_world = rec.src_world
+        source = (ANY_SOURCE if src_world == ANY_SOURCE
+                  else real.rank_of_world(src_world))
+        pend = self.add_pending_recv(rec.vcomm, source, src_world, rec.tag,
+                                     out)
         # request persistence supersedes the leaf-scoped journal
         pend.journal_key = None
         out.on_done(lambda value: self.vreq_resolve(rec, value))
-        return lambda: self.attempt_recv(pend)
+        return lambda: self.attempt_recv(pend, real)
 
     def _repost_pending_irecvs(self) -> None:
         for rec in self.vrequests.values():
@@ -532,21 +559,30 @@ class ManaRankRuntime:
 
     # --------------------------------------------------------- pending recvs
 
-    def add_pending_recv(self, vcomm: int, src_world: int, tag: int,
-                         out: Completion) -> PendingRecv:
-        """Track a wrapper-level receive until data reaches the app."""
-        pend = PendingRecv(vcomm=vcomm, src_world=src_world, tag=tag, out=out)
-        key = self.driver.current_call_key()
-        if key is not None:
-            pos = self._recv_seq.get(key, 0)
-            self._recv_seq[key] = pos + 1
-            pend.journal_key = key
-            pend.journal_pos = pos
+    def add_pending_recv(self, vcomm: int, source: int, src_world: int,
+                         tag: int, out: Completion) -> PendingRecv:
+        """Track a wrapper-level receive from comm-local ``source`` (world
+        rank ``src_world``) until data reaches the app."""
+        driver = self.driver
+        call = driver.current_call
+        if call is None:
+            pend = PendingRecv(vcomm, source, src_world, tag, out, None, 0)
+        else:
+            # the journal key is the driver's current_call_key()
+            leaf = driver.interp.leaves_done
+            if leaf == self._recv_leaf:
+                pos = self._recv_pos = self._recv_pos + 1
+            else:
+                self._recv_leaf = leaf
+                pos = self._recv_pos = 0
+            pend = PendingRecv(vcomm, source, src_world, tag, out,
+                               (call.path, leaf), pos)
         self.pending_recvs.append(pend)
         return pend
 
-    def attempt_recv(self, pend: PendingRecv) -> None:
-        """Journal-first, then buffer-first receive.
+    def attempt_recv(self, pend: PendingRecv, real: Communicator) -> None:
+        """Journal-first, then buffer-first receive on the real
+        communicator ``real`` behind ``pend.vcomm``.
 
         A re-executed leaf replays receives it had already completed from
         the journal; drained messages win over the lower half for the rest.
@@ -556,61 +592,56 @@ class ManaRankRuntime:
         if pend.journal_key is not None and self.recv_journal:
             journal = self.recv_journal.get(pend.journal_key, {})
             if pend.journal_pos in journal:
-                data, status = journal[pend.journal_pos]
-                self._finish_recv(pend, data, status, count=False,
-                                  journal=False)
+                self._finish_recv(pend, journal[pend.journal_pos],
+                                  count=False, journal=False)
                 return
         if self.buffer.entries:
             hit = self.buffer.take(pend.vcomm, pend.src_world, pend.tag)
             if hit is not None:
-                self._finish_recv(
-                    pend, hit.data,
-                    Status(self._local_rank_of(pend.vcomm, hit.src_world),
-                           hit.tag, hit.size),
-                    count=False, journal=True)
+                self._finish_recv(pend, self._buffered_value(pend, hit),
+                                  count=False, journal=True)
                 return
-        real = self.table.resolve(_COMM, pend.vcomm)
-        source = (
-            ANY_SOURCE if pend.src_world == ANY_SOURCE
-            else real.rank_of_world(pend.src_world)
-        )
-        req = self.endpoint.irecv(source=source, tag=pend.tag, comm=real)
-        pend.req = req
-        req.completion.on_done(partial(self._lower_recv_done, pend))
+        pend.posted = self.endpoint._post_recv(
+            real, pend.source, pend.src_world, pend.tag, 0.0,
+            self._lower_recv_done, pend)[1]
 
-    def _lower_recv_done(self, pend: PendingRecv, value: Any) -> None:
+    def _lower_recv_done(self, pend: PendingRecv, value: tuple) -> None:
         if not pend.active:
             return
-        data, status = value
         # status.source is comm-local; bookmark receives by world rank
         src_world = pend.src_world
         if src_world == ANY_SOURCE:
             real = self.table.resolve(_COMM, pend.vcomm)
-            src_world = real.world_of_rank(status.source)
-        self._finish_recv(pend, data, status, count=True, journal=True,
+            src_world = real.world_of_rank(value[1].source)
+        self._finish_recv(pend, value, count=True, journal=True,
                           src_world=src_world)
 
-    def _finish_recv(self, pend: PendingRecv, data: Any, status: Status,
-                     count: bool, journal: bool,
-                     src_world: Optional[int] = None) -> None:
+    def _finish_recv(self, pend: PendingRecv, value: tuple, count: bool,
+                     journal: bool, src_world: Optional[int] = None) -> None:
+        """Hand ``value``, a ``(data, Status)`` pair, to the app.
+
+        A receive of a leaf that is still running once its result is handed
+        over (one of several in an exchange) is journaled: a restart
+        re-executes the leaf, which must get this result again.  A leaf with
+        a single receive finishes inside ``out.resolve``.
+        """
         pend.active = False
-        pend.req = None
-        pending = self.pending_recvs
-        for i, other in enumerate(pending):
-            if other is pend:
-                del pending[i]
-                break
+        pend.posted = None
+        self.pending_recvs.remove(pend)
         if count:
             self.counters.count_receive(src_world)
-        if journal and pend.journal_key is not None:
-            self.recv_journal.setdefault(pend.journal_key, {})[
-                pend.journal_pos
-            ] = (data, status)
-        pend.out.resolve((data, status))
+        pend.out.resolve(value)
+        key = pend.journal_key
+        if journal and key is not None and \
+                self.driver.interp.leaves_done == key[1]:
+            self._leaf_tables = True
+            self.recv_journal.setdefault(key, {})[pend.journal_pos] = value
 
-    def _local_rank_of(self, vcomm: int, world_rank: int) -> Optional[int]:
-        real = self.table.resolve(_COMM, vcomm)
-        return real.rank_of_world(world_rank)
+    def _buffered_value(self, pend: PendingRecv, hit: BufferedMsg) -> tuple:
+        """The ``(data, Status)`` a drained message delivers to ``pend``."""
+        real = self.table.resolve(_COMM, pend.vcomm)
+        return hit.data, Status(real.rank_of_world(hit.src_world), hit.tag,
+                                hit.size)
 
     # --------------------------------------------------------- fault injection
 
@@ -838,14 +869,10 @@ class ManaRankRuntime:
             hit = self.buffer.take(pend.vcomm, pend.src_world, pend.tag)
             if hit is None:
                 continue
-            if pend.req is not None:
-                self.endpoint.cancel_recv(pend.req)
-            self._finish_recv(
-                pend, hit.data,
-                Status(self._local_rank_of(pend.vcomm, hit.src_world),
-                       hit.tag, hit.size),
-                count=False, journal=True,
-            )
+            if pend.posted is not None:
+                self.endpoint._cancel_posted(pend.posted)
+            self._finish_recv(pend, self._buffered_value(pend, hit),
+                              count=False, journal=True)
         self._post_pending_icolls()
         self._release_held()
         self.driver.resume()
@@ -879,7 +906,8 @@ class ManaRankRuntime:
         self.vreq_sites = {k: list(v) for k, v in state["vreq_sites"].items()}
         self._vreq_seq = {}
         self.recv_journal = {k: dict(v) for k, v in state["recv_journal"].items()}
-        self._recv_seq = {}
+        self._recv_leaf = -1
+        self._leaf_tables = True
         self.driver.interp.state.clear()
         self.driver.interp.state.update(state["app_state"])
         self.driver.interp.restore(state["interp"])

@@ -18,7 +18,8 @@ restarted bootstrap program owns) is never disturbed — the exact hazard and
 fix described in §2.1.
 
 FS-register accounting: every wrapper call pays two FS switches (upper→lower
-and back); :meth:`fs_transition_cost` exposes the node kernel's price.
+and back) at the node kernel's price, :attr:`SplitProcess.transition_cost`,
+and adds them to :attr:`SplitProcess.fs_switches`.
 """
 
 from __future__ import annotations
@@ -62,9 +63,11 @@ class SplitProcess:
     ) -> None:
         self.rank = rank
         self.kernel = kernel
-        #: the kernel model is frozen, so one transition's price is fixed
-        self._transition_cost = kernel.upper_lower_transition()
+        #: the price of one upper→lower→upper control transfer (the kernel
+        #: model is frozen, so it is fixed)
+        self.transition_cost = kernel.upper_lower_transition()
         self.space = AddressSpace()
+        #: FS switches the wrappers charged (two per interposed call)
         self.fs_switches = 0
 
         # ----- upper half: the application program
@@ -147,11 +150,6 @@ class SplitProcess:
         return sum(r.size for r in doomed)
 
     # ----------------------------------------------------------- accounting
-
-    def fs_transition_cost(self) -> float:
-        """Charge (and count) one upper→lower→upper control transfer."""
-        self.fs_switches += 2
-        return self._transition_cost
 
     def upper_bytes(self) -> int:
         """Modeled size of the checkpoint payload (upper half only)."""

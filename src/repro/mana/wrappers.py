@@ -216,6 +216,11 @@ class ManaApi(MpiApi):
         self._labels = _Labels(runtime.rank)
         #: label of the event that ends a call's interposition overhead
         self._wrapper_label = f"mana-r{runtime.rank}:wrapper"
+        # The price of one interposed call, read once: two FS-register
+        # switches at the node kernel's price and one handle lookup; a p2p
+        # call also records its send/receive metadata.
+        self._call_cost = runtime.proc.transition_cost + LOOKUP_COST
+        self._p2p_cost = self._call_cost + P2P_METADATA_COST
 
     # ----------------------------------------------------------- properties
 
@@ -264,17 +269,15 @@ class ManaApi(MpiApi):
         percentage overhead while batched transfers still overlap on the
         wire.
         """
-        self._m_fs.inc(2)
-        self._m_lookups.inc()
+        self._m_fs.value += 2
+        self._m_lookups.value += 1
         rt = self.rt
-        cost = rt.proc.fs_transition_cost() + LOOKUP_COST
-        if p2p:
-            cost += P2P_METADATA_COST
+        rt.proc.fs_switches += 2
         engine = rt.engine
         start = engine._now
         if rt.cpu_busy_until > start:
             start = rt.cpu_busy_until
-        fire_at = start + cost
+        fire_at = start + (self._p2p_cost if p2p else self._call_cost)
         rt.cpu_busy_until = fire_at
         engine._post(fire_at, fn, args, self._wrapper_label)
 
@@ -284,9 +287,8 @@ class ManaApi(MpiApi):
              comm: Optional[int] = None, size: Optional[int] = None) -> Completion:
         """MPI_Send (blocking; resolves when the buffer is reusable)."""
         rt = self.rt
-        real = self._resolve_comm(comm)
-        real.validate_rank(dest)
-        dst_world = real.world_of_rank(dest)
+        real = rt.table.resolve(_COMM, VCOMM_WORLD if comm is None else comm)
+        dst_world = real.peer_world_rank(dest)
         # Metadata recorded at call time: this is the sender-side bookmark.
         rt.counters.count_send(dst_world)
         if rt.profile is not None:
@@ -294,33 +296,25 @@ class ManaApi(MpiApi):
         out = Completion(rt.engine, self._labels["send"])
         if rt.engine.tracer.enabled:
             self._trace_call("send", out)
-        self._after_overhead(self._issue_send, dest, data, tag, real, size,
-                             out, p2p=True)
+        # the lower half resolves ``out`` itself once the buffer is reusable
+        self._after_overhead(rt.endpoint._post_send, dst_world, data, tag,
+                             real.context_id, size, 0.0, out, p2p=True)
         return out
-
-    def _issue_send(self, dest: int, data: Any, tag: int, real: Communicator,
-                    size: Optional[int], out: Completion) -> None:
-        self.rt.endpoint.send(
-            dest, data, tag=tag, comm=real, size=size
-        ).on_done(out.resolve)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Optional[int] = None) -> Completion:
         """MPI_Recv; resolves with (data, Status)."""
         rt = self.rt
         vcomm = VCOMM_WORLD if comm is None else comm
-        real = self._resolve_comm(comm)
-        real.validate_rank(source, allow_any=True)
-        src_world = (
-            ANY_SOURCE if source == ANY_SOURCE else real.world_of_rank(source)
-        )
+        real = rt.table.resolve(_COMM, vcomm)
+        src_world = real.peer_world_rank(source, allow_any=True)
         if rt.profile is not None:
             rt.profile_op("recv")
         out = Completion(rt.engine, self._labels["recv"])
         if rt.engine.tracer.enabled:
             self._trace_call("recv", out)
-        pend = rt.add_pending_recv(vcomm, src_world, tag, out)
-        self._after_overhead(rt.attempt_recv, pend, p2p=True)
+        pend = rt.add_pending_recv(vcomm, source, src_world, tag, out)
+        self._after_overhead(rt.attempt_recv, pend, real, p2p=True)
         return out
 
     def sendrecv(self, dest: int, data: Any, source: int,
@@ -378,13 +372,9 @@ class ManaApi(MpiApi):
         if fresh:
             vcomm = VCOMM_WORLD if comm is None else comm
             real = self._resolve_comm(comm)
-            real.validate_rank(source, allow_any=True)
             rec.vcomm = vcomm
             rec.tag = tag
-            rec.src_world = (
-                ANY_SOURCE if source == ANY_SOURCE
-                else real.world_of_rank(source)
-            )
+            rec.src_world = real.peer_world_rank(source, allow_any=True)
             attempt = self.rt.attach_irecv(rec)
             self._after_overhead(attempt, p2p=True)
         return rec.vreq

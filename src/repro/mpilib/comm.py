@@ -12,6 +12,7 @@ different real handles before and after a cross-implementation restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 ANY_SOURCE = -1
@@ -24,7 +25,13 @@ class MpiError(RuntimeError):
 
 @dataclass(frozen=True)
 class Group:
-    """An ordered set of world ranks (MPI_Group)."""
+    """An ordered set of world ranks (MPI_Group).
+
+    Rank lookups read :attr:`rank_index`, a world rank -> group rank dict
+    built on the group's first lookup (most groups are looked up once or
+    never).  It is a cache, not part of the value: equality, hashing and
+    pickling see ``world_ranks`` only.
+    """
 
     world_ranks: tuple[int, ...]
 
@@ -32,17 +39,22 @@ class Group:
         if len(set(self.world_ranks)) != len(self.world_ranks):
             raise MpiError(f"group has duplicate ranks: {self.world_ranks}")
 
+    def __getstate__(self) -> dict:
+        return {"world_ranks": self.world_ranks}
+
     @property
     def size(self) -> int:
         """Number of members."""
         return len(self.world_ranks)
 
+    @cached_property
+    def rank_index(self) -> dict[int, int]:
+        """World rank -> group rank, for every member."""
+        return {w: i for i, w in enumerate(self.world_ranks)}
+
     def rank_of(self, world_rank: int) -> Optional[int]:
         """Group rank of ``world_rank``, or None (MPI_UNDEFINED)."""
-        try:
-            return self.world_ranks.index(world_rank)
-        except ValueError:
-            return None
+        return self.rank_index.get(world_rank)
 
     def translate(self, group_rank: int) -> int:
         """Group rank -> world rank."""
@@ -103,15 +115,12 @@ class Communicator:
         """Number of members."""
         return len(self.group.world_ranks)
 
-    # ``size`` and the three lookups below run on every point-to-point or
-    # collective call, so they read the group's rank tuple directly.
+    # The lookups below run on every point-to-point or collective call, so
+    # the rank -> world rank ones read the group's rank tuple directly.
 
     def rank_of_world(self, world_rank: int) -> Optional[int]:
         """World rank -> communicator rank (None for non-members)."""
-        try:
-            return self.group.world_ranks.index(world_rank)
-        except ValueError:
-            return None
+        return self.group.rank_index.get(world_rank)
 
     def world_of_rank(self, comm_rank: int) -> int:
         """Communicator rank -> world rank."""
@@ -122,10 +131,18 @@ class Communicator:
 
     def validate_rank(self, comm_rank: int, allow_any: bool = False) -> None:
         """Raise MpiError if the rank is invalid in this communicator."""
+        self.peer_world_rank(comm_rank, allow_any)
+
+    def peer_world_rank(self, comm_rank: int, allow_any: bool = False) -> int:
+        """A point-to-point peer's world rank: :meth:`validate_rank` and
+        :meth:`world_of_rank` in one step (``ANY_SOURCE`` maps to itself
+        when ``allow_any``)."""
+        ranks = self.group.world_ranks
+        if 0 <= comm_rank < len(ranks):
+            return ranks[comm_rank]
         if allow_any and comm_rank == ANY_SOURCE:
-            return
-        if not 0 <= comm_rank < len(self.group.world_ranks):
-            raise MpiError(
-                f"rank {comm_rank} invalid in communicator {self.name!r} "
-                f"of size {self.size}"
-            )
+            return ANY_SOURCE
+        raise MpiError(
+            f"rank {comm_rank} invalid in communicator {self.name!r} "
+            f"of size {len(ranks)}"
+        )

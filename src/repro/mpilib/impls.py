@@ -70,11 +70,14 @@ class MpiImplementation:
     debug: bool = False
 
     def __post_init__(self) -> None:
-        self._handle_counter = itertools.count(1)
+        #: numbers the real handles of every kind, in minting order
+        self.handle_numbers = itertools.count(1)
+        #: a request handle is this plus its number (see :meth:`new_handle`)
+        self.request_base = self.handle_base + (_KIND_TAGS["request"] << 20)
 
     def new_handle(self, kind: str) -> int:
         """Mint a fresh real handle value in this implementation's style."""
-        n = next(self._handle_counter)
+        n = next(self.handle_numbers)
         return self.handle_base + (_KIND_TAGS.get(kind, 0xF) << 20) + n
 
     def lower_half_regions(self) -> list[DriverRegionSpec]:

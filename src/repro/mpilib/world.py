@@ -36,13 +36,26 @@ from repro.simtime import Completion, Engine
 _FIFO_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Status:
-    """MPI_Status subset: the envelope of a received message."""
+    """MPI_Status subset: the envelope of a received message.
+
+    Slotted, because every receive builds one.  It pickles as the plain
+    ``__dict__``-style state it always had, so images that hold received
+    statuses keep their bytes and older images still load.
+    """
 
     source: int
     tag: int
     size: int
+
+    def __getstate__(self) -> dict:
+        return {"source": self.source, "tag": self.tag, "size": self.size}
+
+    def __setstate__(self, state: dict) -> None:
+        self.source = state["source"]
+        self.tag = state["tag"]
+        self.size = state["size"]
 
 
 @dataclass(slots=True)
@@ -76,15 +89,20 @@ class MsgRecord:
 
 @dataclass(eq=False, slots=True)
 class _PostedRecv:
-    """A receive in the matching layer; compared by identity."""
+    """A receive in the matching layer; compared by identity.
+
+    A match calls ``fn(arg, (data, Status))``, the source comm-local as MPI
+    reports it: ``Completion.resolve`` and a completion for the library's
+    own receives, a wrapper's callback and its record for MANA's.
+    """
 
     comm: Communicator
     context_id: int
     source: int                    # comm-local rank or ANY_SOURCE
     src: int                       # ``source`` as a WORLD rank (or ANY_SOURCE)
     tag: int
-    #: resolves with (data, Status), the source comm-local, as MPI reports it
-    completion: Completion
+    fn: Callable[[Any, tuple], None]
+    arg: Any
     cancelled: bool = False
 
     def matches(self, msg: MsgRecord | _Rendezvous) -> bool:
@@ -116,10 +134,10 @@ class _Rendezvous:
     """
 
     __slots__ = ("record", "context_id", "src", "tag", "send_done", "cpu",
-                 "posted")
+                 "label", "posted")
 
     def __init__(self, record: MsgRecord, send_done: Completion,
-                 cpu: float) -> None:
+                 cpu: float, label: str) -> None:
         self.record = record
         self.context_id = record.context_id
         self.src = record.src
@@ -127,6 +145,8 @@ class _Rendezvous:
         self.send_done = send_done
         #: sender CPU time, charged once the payload is on its way
         self.cpu = cpu
+        #: label of the event that resolves ``send_done``
+        self.label = label
         #: the receive it was accepted for; None when drained
         self.posted: Optional[_PostedRecv] = None
 
@@ -135,7 +155,9 @@ class _Rendezvous:
         record = self.record
         world.wire_send(record.src, record.dst, record.size, self.on_data,
                         world.endpoints[record.dst])
-        self.send_done.resolve_after(self.cpu)
+        engine = world.engine
+        engine._post(engine._now + self.cpu, self.send_done.resolve, (None,),
+                     self.label)
 
     def on_data(self, receiver: "MpiEndpoint") -> None:
         """The payload reached the receiver's NIC."""
@@ -145,8 +167,9 @@ class _Rendezvous:
             # Drain mode (or the recv went away): sink or queue it.
             receiver._on_data_arrival(record)
         else:
-            receiver._count_delivery(record)
-            posted.completion.resolve((record.data, posted.status(record)))
+            receiver._m_recv_msgs.value += 1
+            receiver._m_recv_bytes.value += record.size
+            posted.fn(posted.arg, (record.data, posted.status(record)))
 
 
 class _CollectiveContext:
@@ -230,7 +253,7 @@ class MpiWorld:
         self.fabric: Interconnect = make_interconnect(cluster.interconnect, engine)
         self.shmem: Interconnect = ShmemTransport(engine)
         self._context_ids = itertools.count(100)
-        self._request_ids = itertools.count(1)
+        #: next message number per (src, dst) channel
         self._channel_seq: dict[tuple[int, int], int] = {}
         self._channel_last_arrival: dict[tuple[int, int], float] = {}
         self._colls: dict[tuple[int, int], _CollectiveContext] = {}
@@ -271,13 +294,6 @@ class MpiWorld:
         """Node id hosting a world rank."""
         return self.placement[world_rank]
 
-    def transport_between(self, src_rank: int, dst_rank: int) -> Interconnect:
-        """Shared memory for co-located ranks, the fabric otherwise."""
-        placement = self.placement
-        if placement[src_rank] == placement[dst_rank]:
-            return self.shmem
-        return self.fabric
-
     def transport_for_group(self, group: Group) -> Interconnect:
         """Shared memory if the group is single-node, else the fabric."""
         placement = self.placement
@@ -295,7 +311,8 @@ class MpiWorld:
 
     def new_request_handle(self) -> int:
         """Mint a fresh real request handle."""
-        return self.impl.new_handle("request")
+        impl = self.impl
+        return impl.request_base + next(impl.handle_numbers)
 
     def new_comm_handle(self) -> int:
         """Mint a fresh real communicator handle, tracked by the ledger."""
@@ -381,13 +398,6 @@ class MpiWorld:
             size, last.get(chan, 0.0) + size / transport.beta + _FIFO_EPS,
             on_arrival, arg)
 
-    def next_channel_seq(self, src: int, dst: int) -> int:
-        """Next per-(src,dst) message sequence number."""
-        chan = (src, dst)
-        seq = self._channel_seq.get(chan, 0)
-        self._channel_seq[chan] = seq + 1
-        return seq
-
     # ------------------------------------------------------- drain support
 
     @property
@@ -409,14 +419,13 @@ class MpiWorld:
     ) -> Completion:
         """A rank enters a collective; resolves when the matched op finishes."""
         rank = endpoint.rank
-        ranks = comm.group.world_ranks
-        try:
-            comm_rank = ranks.index(rank)
-        except ValueError:
+        group = comm.group
+        comm_rank = group.rank_index.get(rank)
+        if comm_rank is None:
             raise MpiError(
                 f"rank {rank} called {op} on communicator "
                 f"{comm.name!r} it does not belong to"
-            ) from None
+            )
         # advance this rank's collective sequence on the context
         context_id = comm.context_id
         seqs = endpoint._coll_seq
@@ -427,7 +436,7 @@ class MpiWorld:
         if key in colls:
             ctx = colls[key]
         else:
-            ctx = colls[key] = _CollectiveContext(op, len(ranks))
+            ctx = colls[key] = _CollectiveContext(op, len(group.world_ranks))
         if ctx.op != op:
             raise MpiError(
                 f"collective mismatch on {comm.name!r}: rank {rank} "
@@ -563,7 +572,9 @@ class MpiEndpoint:
         self.node_id = world.node_of(rank)
         #: completion labels, built once: receives, and sends per destination
         self._recv_label = f"recv@{rank}"
-        self._send_labels: dict[int, str] = {}
+        self._recv_resolve_label = f"resolve:recv@{rank}"
+        #: per destination: (send completion label, its resolve event's)
+        self._send_labels: dict[int, tuple[str, str]] = {}
         self._posted: list[_PostedRecv] = []
         #: arrived and unmatched, in arrival order: eager payloads and the
         #: rendezvous transfers whose RTS no receive has matched yet
@@ -575,8 +586,9 @@ class MpiEndpoint:
         self.drain_sink: Optional[Callable[[MsgRecord], None]] = None
         #: statistics
         self.calls = 0
-        # P2p conservation counters, memoized for the data path.  Each
-        # delivered MsgRecord is counted exactly once (see _count_delivery).
+        # P2p conservation counters, memoized for the data path, which adds
+        # to their values directly.  Each delivered MsgRecord is counted
+        # exactly once (see _on_data_arrival).
         metrics = world.engine.metrics
         self._m_sent_msgs = metrics.counter("mpi.p2p.sent_messages", rank=rank)
         self._m_sent_bytes = metrics.counter("mpi.p2p.sent_bytes", rank=rank)
@@ -606,7 +618,9 @@ class MpiEndpoint:
     ) -> Request:
         """Nonblocking send.  ``size`` overrides the modeled wire size
         (defaults to the numpy payload's nbytes, or 64 for objects)."""
-        handle, done = self._post_send(dest, data, tag, comm, size, extra_cpu)
+        comm = comm or self.comm_world
+        handle, done = self._post_send(comm.peer_world_rank(dest), data, tag,
+                                       comm.context_id, size, extra_cpu)
         return Request(handle, "send", done)
 
     def send(
@@ -619,44 +633,59 @@ class MpiEndpoint:
         extra_cpu: float = 0.0,
     ) -> Completion:
         """Blocking send: same as isend, caller awaits the completion."""
-        return self._post_send(dest, data, tag, comm, size, extra_cpu)[1]
-
-    def _post_send(self, dest: int, data: Any, tag: int,
-                   comm: Optional[Communicator], size: Optional[int],
-                   extra_cpu: float) -> tuple[int, Completion]:
-        """The send itself; returns (real request handle, completion)."""
         comm = comm or self.comm_world
-        comm.validate_rank(dest)
+        return self._post_send(comm.peer_world_rank(dest), data, tag,
+                               comm.context_id, size, extra_cpu)[1]
+
+    def _post_send(self, dst_world: int, data: Any, tag: int,
+                   context_id: int, size: Optional[int], extra_cpu: float = 0.0,
+                   done: Optional[Completion] = None) -> tuple[int, Completion]:
+        """The send itself, to world rank ``dst_world`` in ``context_id``;
+        returns (real request handle, completion).
+
+        The completion resolves once the send buffer is reusable: ``done``
+        if given (MANA's wrapper passes the one its caller waits on), else a
+        new one.  Either way the event that resolves it carries this
+        library's label.
+        """
         self.calls += 1
         world = self.world
         rank = self.rank
-        dst_world = comm.world_of_rank(dest)
         wire = int(size if size is not None else _default_size(data))
-        seq = world.next_channel_seq(rank, dst_world)
-        record = MsgRecord(rank, dst_world, comm.context_id, tag, _copy(data),
-                           wire, seq)
+        chan = (rank, dst_world)
+        seqs = world._channel_seq
+        seq = seqs.get(chan, 0)
+        seqs[chan] = seq + 1
+        if isinstance(data, np.ndarray):
+            data = data.copy()  # the send buffer stays the caller's
+        record = MsgRecord(rank, dst_world, context_id, tag, data, wire, seq)
         world.p2p_messages += 1
         world.p2p_bytes += wire
-        self._m_sent_msgs.inc()
-        self._m_sent_bytes.inc(wire)
-        label = self._send_labels.get(dst_world)
-        if label is None:
-            label = self._send_labels[dst_world] = f"send{rank}->{dst_world}"
-        done = Completion(self.engine, label)
+        self._m_sent_msgs.value += 1
+        self._m_sent_bytes.value += wire
+        labels = self._send_labels.get(dst_world)
+        if labels is None:
+            label = f"send{rank}->{dst_world}"
+            labels = self._send_labels[dst_world] = (label, "resolve:" + label)
+        if done is None:
+            done = Completion(self.engine, labels[0])
         handle = world.new_request_handle()
-        cpu = self._entry_cost(extra_cpu, wire) + \
-            world.transport_between(rank, dst_world).per_message_cpu
+        placement = world.placement
+        transport = (world.shmem if placement[rank] == placement[dst_world]
+                     else world.fabric)
+        cpu = self._entry_cost(extra_cpu, wire) + transport.per_message_cpu
 
         receiver = world.endpoints[dst_world]
         if wire <= self.impl.eager_threshold:
             # Eager: inject at once; local completion after CPU cost.
             world.wire_send(rank, dst_world, wire, receiver._on_data_arrival,
                             record)
-            done.resolve_after(cpu)
+            engine = self.engine
+            engine._post(engine._now + cpu, done.resolve, (None,), labels[1])
         else:
             # Rendezvous: RTS now; data flows once the receiver clears it.
             world.wire_send(rank, dst_world, 0, receiver._on_rts,
-                            _Rendezvous(record, done, cpu))
+                            _Rendezvous(record, done, cpu, labels[1]))
         return handle, done
 
     def irecv(
@@ -667,9 +696,13 @@ class MpiEndpoint:
         extra_cpu: float = 0.0,
     ) -> Request:
         """Nonblocking receive; completion resolves with (data, Status)."""
-        handle, posted = self._post_recv(source, tag, comm, extra_cpu)
-        return Request(handle, "recv", posted.completion,
-                       envelope=(posted.context_id, posted.src, tag))
+        comm = comm or self.comm_world
+        src_world = comm.peer_world_rank(source, allow_any=True)
+        done = Completion(self.engine, self._recv_label)
+        handle, _posted = self._post_recv(comm, source, src_world, tag,
+                                          extra_cpu, Completion.resolve, done)
+        return Request(handle, "recv", done,
+                       envelope=(comm.context_id, src_world, tag))
 
     def recv(
         self,
@@ -679,22 +712,27 @@ class MpiEndpoint:
         extra_cpu: float = 0.0,
     ) -> Completion:
         """Blocking receive: completion resolves with (data, Status)."""
-        return self._post_recv(source, tag, comm, extra_cpu)[1].completion
-
-    def _post_recv(self, source: int, tag: int, comm: Optional[Communicator],
-                   extra_cpu: float) -> tuple[int, _PostedRecv]:
-        """The receive itself: match it against what already arrived, or
-        post it; returns (real request handle, posted receive)."""
         comm = comm or self.comm_world
-        comm.validate_rank(source, allow_any=True)
+        src_world = comm.peer_world_rank(source, allow_any=True)
+        done = Completion(self.engine, self._recv_label)
+        self._post_recv(comm, source, src_world, tag, extra_cpu,
+                        Completion.resolve, done)
+        return done
+
+    def _post_recv(self, comm: Communicator, source: int, src_world: int,
+                   tag: int, extra_cpu: float, fn: Callable[[Any, tuple], None],
+                   arg: Any) -> tuple[int, _PostedRecv]:
+        """The receive itself, from comm-local ``source`` (world rank
+        ``src_world``; both ANY_SOURCE for a wildcard): match it against
+        what already arrived, or post it.  A match calls
+        ``fn(arg, (data, Status))``.  Returns (real request handle, posted
+        receive); a receive that is still posted can be withdrawn with
+        :meth:`_cancel_posted`."""
         self.calls += 1
-        src_world = (
-            ANY_SOURCE if source == ANY_SOURCE else comm.world_of_rank(source)
-        )
         # Applications see comm-local source ranks in the status, matching
         # MPI semantics; the matching layer works in world ranks throughout.
         posted = _PostedRecv(comm, comm.context_id, source, src_world, tag,
-                             Completion(self.engine, self._recv_label))
+                             fn, arg)
         handle = self.world.new_request_handle()
         # The earliest arrival that matches wins (MPI's non-overtaking
         # rule), whether its payload is here or still behind an RTS.
@@ -705,43 +743,51 @@ class MpiEndpoint:
                 if type(msg) is _Rendezvous:
                     self._accept_rendezvous(msg, posted)
                 else:
-                    posted.completion.resolve_after(
-                        self._entry_cost(extra_cpu, msg.size),
-                        (msg.data, posted.status(msg)),
-                    )
+                    engine = self.engine
+                    engine._post(
+                        engine._now + self._entry_cost(extra_cpu, msg.size),
+                        fn, (arg, (msg.data, posted.status(msg))),
+                        self._recv_resolve_label)
                 return handle, posted
         self._posted.append(posted)
         return handle, posted
 
     def cancel_recv(self, req: Request) -> None:
-        """MPI_Cancel for a posted receive (used by MANA across checkpoints)."""
+        """MPI_Cancel for a posted receive."""
         if req.kind != "recv":
             raise MpiError("cancel_recv on a non-recv request")
-        for i, posted in enumerate(self._posted):
-            if posted.completion is req.completion:
-                posted.cancelled = True
-                del self._posted[i]
+        for posted in self._posted:
+            if posted.arg is req.completion:
+                self._cancel_posted(posted)
                 req.completion.cancel()
                 return
         # Already matched or already cancelled: nothing to do.
 
+    def _cancel_posted(self, posted: _PostedRecv) -> None:
+        """Withdraw a posted receive (used by MANA across checkpoints); a
+        receive that already matched is left alone."""
+        queue = self._posted
+        for i, other in enumerate(queue):
+            if other is posted:
+                posted.cancelled = True
+                del queue[i]
+                return
+
     # ------------------------------------------------------ p2p internals
 
-    def _count_delivery(self, record: MsgRecord) -> None:
-        """Count one payload delivery (exactly once per MsgRecord)."""
-        self._m_recv_msgs.inc()
-        self._m_recv_bytes.inc(record.size)
-
     def _on_data_arrival(self, record: MsgRecord) -> None:
-        """An eager payload (or rendezvous data) reached this rank's NIC."""
-        self._count_delivery(record)
+        """An eager payload (or rendezvous data) reached this rank's NIC.
+        Every delivered MsgRecord is counted once, here or in
+        :meth:`_Rendezvous.on_data`."""
+        self._m_recv_msgs.value += 1
+        self._m_recv_bytes.value += record.size
         if self.drain_sink is not None:
             self.drain_sink(record)
             return
         for i, posted in enumerate(self._posted):
             if posted.matches(record):
                 del self._posted[i]
-                posted.completion.resolve((record.data, posted.status(record)))
+                posted.fn(posted.arg, (record.data, posted.status(record)))
                 return
         self._unexpected.append(record)
 

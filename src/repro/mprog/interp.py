@@ -42,13 +42,15 @@ class Frame:
 
     Only ``path`` and the counters persist (:meth:`Interpreter.snapshot`);
     ``node`` is the program node at ``path``, resolved once when the frame
-    opens or is restored, so stepping never re-walks the tree.  Leaf frames
-    carry no counters, so one leaf frame per path is reused, together with
-    its prebuilt ``action``.
+    opens or is restored, so stepping never re-walks the tree, and
+    ``paths`` holds its children's paths.  Leaf frames carry no counters and
+    a seq frame only ``idx``, which is 0 again once the seq is done, so one
+    frame per path of either kind is reused (a leaf together with its
+    prebuilt ``action``), pass after pass of an enclosing loop.
     """
 
     __slots__ = ("path", "kind", "node", "idx", "iters", "count", "branch",
-                 "kids", "action")
+                 "kids", "paths", "action")
 
     def __init__(self, path: tuple[int, ...], kind: str, node: Node,
                  idx: int = 0, iters: int = 0, count: int = 0,
@@ -62,6 +64,11 @@ class Frame:
         self.branch = branch         # if: -1 undecided, 0 then, 1 else, 2 done
         #: seq: the node's children; leaf: the Action handed to the driver
         self.kids: tuple[Node, ...] = node.children if kind == "seq" else ()
+        #: the path of each child: a seq's children, a loop or while body
+        #: (child 0), an if's branches (children 0 and 1)
+        width = len(self.kids) if kind == "seq" else _CHILD_SLOTS[kind]
+        self.paths: tuple[tuple[int, ...], ...] = tuple(
+            [path + (i,) for i in range(width)])
         self.action: Optional[Action] = (
             Action(node.kind, node, path) if kind == "leaf" else None
         )
@@ -79,6 +86,9 @@ class Action:
 #: returned once the program has run to completion
 _DONE = Action(kind="done")
 
+#: child paths a frame of each non-seq kind holds
+_CHILD_SLOTS = {"loop": 1, "while": 1, "if": 2, "leaf": 0}
+
 #: node kind -> frame kind
 _FRAME_KINDS = {"seq": "seq", "loop": "loop", "while": "while", "if": "if",
                 "compute": "leaf", "call": "leaf"}
@@ -90,8 +100,8 @@ class Interpreter:
     def __init__(self, program: Program, state: Optional[ProgramState] = None) -> None:
         self.program = program
         self.state = state if state is not None else ProgramState()
-        #: leaf frames by path (immutable, so shared between passes)
-        self._leaves: dict[tuple[int, ...], Frame] = {}
+        #: leaf and seq frames by path, reused pass after pass (see Frame)
+        self._reused: dict[tuple[int, ...], Frame] = {}
         self.stack: list[Frame] = [self._open_frame((), program.root)]
         self.finished = False
         #: number of leaves completed (diagnostics / progress reporting)
@@ -112,6 +122,7 @@ class Interpreter:
             if kind == "seq":
                 idx = frame.idx
                 if idx >= len(frame.kids):
+                    frame.idx = 0  # ready for the next pass
                     self._pop()
                     continue
                 child = frame.kids[idx]
@@ -135,9 +146,9 @@ class Interpreter:
                     self._pop()
                     continue
                 child = node.then if idx == 0 else node.orelse
-            path = frame.path + (idx,)
-            leaf = self._leaves.get(path)
-            stack.append(leaf if leaf is not None
+            path = frame.paths[idx]
+            reused = self._reused.get(path)
+            stack.append(reused if reused is not None
                          else self._open_frame(path, child))
         self.finished = True
         return _DONE
@@ -174,6 +185,7 @@ class Interpreter:
             node = self.program.node_at(path)  # validates
             stack.append(Frame(path, kind, node, idx, iters, count, branch))
         self.stack = stack
+        self._reused = {}
         self.finished = bool(snap["finished"])
         self.leaves_done = int(snap["leaves_done"])
 
@@ -188,8 +200,8 @@ class Interpreter:
             frame.count = node.eval_count(self.state)
             if node.var is not None:
                 self.state[node.var] = 0
-        elif kind == "leaf":
-            self._leaves[path] = frame
+        elif kind == "leaf" or kind == "seq":
+            self._reused[path] = frame
         return frame
 
     def _pop(self) -> None:

@@ -62,6 +62,8 @@ class Interconnect:
         self.bytes_sent = 0
         #: nominal (α, β) saved while a transient degradation is active
         self._nominal: Optional[tuple[float, float]] = None
+        #: format of a delivery event's label, ``<name>:deliver<msg id>``
+        self._deliver_label = self.name + ":deliver%d"
 
     # ------------------------------------------------------------- timing
 
@@ -135,7 +137,7 @@ class Interconnect:
         if arrival < not_before:
             arrival = not_before
         engine._post(arrival, self._deliver, (size, fn, arg),
-                     f"{self.name}:deliver{msg_id}")
+                     (self._deliver_label, msg_id))
         return arrival
 
     def _deliver(self, size: int, fn: Callable[[Any], None], arg: Any) -> None:

@@ -5,7 +5,8 @@ One :class:`MetricsRegistry` lives on every :class:`~repro.simtime.Engine`
 increments and never schedule events, so they cannot perturb a run).
 Instruments are identified by ``(name, sorted labels)``; repeated lookups
 return the same instrument, and hot paths memoize the instrument object
-itself.
+itself and add to a counter's ``value`` directly (their increments are
+counts and sizes, never negative, so :meth:`Counter.inc`'s check is moot).
 
 Naming conventions (see ``docs/observability.md``): dotted lower-case
 names, ``<layer>.<subject>.<unit-ish>`` — e.g. ``mpi.p2p.sent_bytes``,

@@ -124,12 +124,14 @@ class Engine:
         return EventHandle(entry[_WHEN], entry[_SEQ], entry, self)
 
     def _post(self, when: float, fn: Callable[..., Any], args: tuple,
-              label: str, priority: int = 0) -> list:
+              label: Any, priority: int = 0) -> list:
         """Queue ``fn(*args)`` at ``when`` and return the queue entry.
 
         The scheduling core of :meth:`call_at`, for events nobody cancels
         (completion resolutions, wrapper overheads, wire deliveries): it
-        builds no :class:`EventHandle`.
+        builds no :class:`EventHandle`.  ``label`` is a string, or a
+        ``(format, value)`` pair that becomes ``format % value`` only if a
+        trace reads it, so a hot caller formats nothing while untraced.
         """
         now = self._now
         if when < now:
@@ -184,11 +186,8 @@ class Engine:
             entry[_PAYLOAD] = _FIRED
             when = entry[_WHEN]
             self._now = when
-            if self.trace is not None:
-                self.trace.append((when, entry[_LABEL]))
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.dispatch(when, entry[_LABEL])
+            if self.trace is not None or self.tracer.enabled:
+                self._record(when, entry[_LABEL])
             fn, args = payload
             fn(*args)
             return True
@@ -229,17 +228,24 @@ class Engine:
             self._live -= 1
             entry[_PAYLOAD] = _FIRED
             self._now = when
-            if self.trace is not None:
-                self.trace.append((when, entry[_LABEL]))
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.dispatch(when, entry[_LABEL])
+            if self.trace is not None or self.tracer.enabled:
+                self._record(when, entry[_LABEL])
             fn, args = payload
             fn(*args)
             fired += 1
         if until != math.inf and until > self._now:
             self._now = until
         return self._now
+
+    def _record(self, when: float, label: Any) -> None:
+        """Hand one dispatched event to :attr:`trace` and the tracer."""
+        if type(label) is tuple:
+            label = label[0] % label[1]
+        if self.trace is not None:
+            self.trace.append((when, label))
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.dispatch(when, label)
 
     @property
     def next_event_time(self) -> Optional[float]:

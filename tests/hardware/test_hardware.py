@@ -1,11 +1,14 @@
 """Kernel model, cluster placement, and Lustre storage model."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.hardware import Cluster, ClusterError, KernelModel, LustreModel
 from repro.hardware.cluster import cori, local_cluster, make_cluster
 from repro.hardware.kernelmodel import PATCHED, UNPATCHED
+from repro.hardware.storage import median_and_p90
 
 
 class TestKernelModel:
@@ -117,3 +120,15 @@ class TestLustreModel:
     def test_mismatched_inputs_raise(self):
         with pytest.raises(ValueError):
             LustreModel().burst([1], node_of=[])
+
+    def test_median_and_p90_are_numpys_bit_for_bit(self):
+        def bits(x: float) -> bytes:
+            return struct.pack("<d", x)
+
+        rng = np.random.default_rng(7)
+        for n in range(1, 66):
+            for _ in range(10):
+                values = rng.pareto(1.5, size=n) * rng.uniform(1e-3, 1e3)
+                median, p90 = median_and_p90(values)
+                assert bits(median) == bits(float(np.median(values))), n
+                assert bits(p90) == bits(float(np.percentile(values, 90))), n

@@ -25,7 +25,30 @@ Per message: the OSU ping-pong under MANA (2 ranks on one Aries node,
 
 "before" is the design whose interpreter re-walked node paths from the
 root, with three chained completions per receive and labels formatted per
-message.
+message.  Later cuts brought it to 144.  Reworking the blocking send/recv
+path then cut it to 92:
+
+    layer     before  after
+    builtins      49     36
+    mpilib        26     11
+    mana          20     15
+    simtime       15     10
+    mprog         10      7
+    obs            8      0
+    runtime        7      6
+    net            2      2
+    apps           2      2
+    total        144     92
+
+"before" validated and translated the peer rank twice per call (wrapper
+and lower half) and once more back for a MANA receive, posted the lower
+half through its public entries (a ``Request``, an envelope tuple, a
+lower-half completion and a ``partial`` per receive; a second completion
+per send), built ``PendingRecv`` and ``Status`` through generated
+keyword-default and frozen ``__init__`` code, journaled every receive and
+popped it again in the same event, counted through ``Counter.inc()``
+calls, asked the split process for the FS price per call, opened a new
+seq frame per loop pass and formatted each wire delivery's label.
 
 Per lower-half collective (``mpi.coll.ops``; every wrapped collective is
 two, the trivial barrier and the real call): commchurn under MANA (8 ranks
@@ -46,7 +69,9 @@ which makes no p2p calls at all.  Measured on CPython 3.11:
 its counters up by sorted labels, hashed enum members in the handle table
 and copied every allgather value p² times.  Cutting the record-replay path
 (below) also cut this one, to 371 calls: builtins 113, mpilib 47, mana
-98; the budgets were tightened to match.
+98; the budgets were tightened to match.  The send/recv rework (above)
+cut it to 351 (builtins 113, mana 87, mpilib 48, obs 3); the budgets were
+left as they were.
 
 Per p2p message of the halo exchange (``mpi.p2p.recv_messages``): HPCG
 under MANA (32 ranks on 4 Cori nodes, 8 per node, 12 steps, the
@@ -68,7 +93,9 @@ rendezvous protocol.  Measured on CPython 3.11:
 "before" kept each rendezvous in a send-id dict with three closures, built
 a ``Message`` and a ``meta`` dict per wire send and summed the in-flight
 registry, wrapped every guarded send and every ``all_of`` input in a
-closure, and ran the HPCG vectors through ``np.roll`` and ``mean``.
+closure, and ran the HPCG vectors through ``np.roll`` and ``mean``.  The
+send/recv rework (above) cut it to 131 (builtins 50, mpilib 21, mana 19,
+simtime 19, obs 0.1); the budgets were left as they were.
 
 Per log entry of the record-replay path (§2.2), two figures.  Per
 recorded entry: every call made inside the MANA wrappers that record a
@@ -95,7 +122,9 @@ lower half's handle ledger through ``setdefault``/``get``.  Holding the
 log as pickled chunks of plain rows (no object built per recorded entry,
 none pickled at capture or built at restore) then cut them to 7.2 per
 recorded entry (``mana`` 4.3) and 17.5 per replayed entry (``mana`` 4.6);
-the budgets were left as they were.
+the budgets were left as they were.  The send/recv rework, whose rank
+lookups read a group's index, then cut them to 7.0 and 15.3
+(``builtins`` 5.1).
 
 The totals also count code outside these layers.  The budgets sit about
 10% above "after", so they hold on every supported CPython; a change that
@@ -119,15 +148,15 @@ ITERS = 500
 MESSAGES = 2 * ITERS
 
 #: primitive calls per message, all code (builtins included)
-TOTAL_BUDGET = 174
+TOTAL_BUDGET = 101
 #: primitive calls per message of each layer's own Python functions
 LAYER_BUDGETS = {
-    "mprog": 11,
-    "runtime": 10,
-    "mana": 26,
-    "mpilib": 29,
-    "simtime": 20,
-    "net": 4,
+    "mprog": 8,
+    "runtime": 7,
+    "mana": 17,
+    "mpilib": 12,
+    "simtime": 11,
+    "net": 3,
 }
 
 #: the ``churn_restart`` benchmark's MANA run: commchurn, 8 ranks, 400 steps

@@ -41,6 +41,19 @@ def test_job_and_oracles_leave_tooling_unloaded():
     assert loaded == []
 
 
+def test_storage_burst_leaves_numpy_ma_unloaded():
+    # np.median and np.percentile import numpy.ma (~1.2 MB resident)
+    loaded = json.loads(_run(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from repro.hardware.storage import LustreModel\n"
+        "LustreModel().burst([1 << 20] * 8, node_of=[i // 4 for i in range(8)],"
+        " rng=np.random.default_rng(0))\n"
+        "print(json.dumps('numpy.ma' in sys.modules))\n"
+    ))
+    assert loaded is False
+
+
 @pytest.mark.parametrize("statement", [
     "from repro.conformance import run_conformance, state_fingerprint",
     "from repro.conformance import QUICK_TIER, ConfigCell",
