@@ -14,6 +14,13 @@ facility-global, Lustre bandwidth is contended through the
 :class:`~repro.facility.sharedfs.StorageArbiter`, and a node crash lands on
 whichever tenant owns the node at that instant.
 
+Each tenant's checkpoints — periodic ones every ``checkpoint_interval``
+and the induced one of a preemption — come from its own
+:class:`~repro.mana.autockpt.CheckpointLifecycle`; the facility only
+accounts for each finished set and requeues a preempted tenant once its set
+is written.  A restarted tenant inherits its options from that set's
+``meta``.
+
 The whole thing is event-driven: scheduling points are job arrival, job
 completion, preemption-checkpoint completion, and node crash.  There is no
 polling loop, so a facility run costs what its jobs cost.
@@ -21,7 +28,7 @@ polling loop, so a facility run costs what its jobs cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Optional, Sequence, Union
 from zlib import crc32
@@ -40,11 +47,8 @@ from repro.faults.models import (
     SlowIO,
 )
 from repro.hardware.cluster import Cluster
-from repro.mana.coordinator import (
-    CheckpointAborted,
-    CheckpointReport,
-    ControlPlaneModel,
-)
+from repro.mana.autockpt import CheckpointLifecycle
+from repro.mana.coordinator import CheckpointReport, ControlPlaneModel
 from repro.mana.job import ManaJob, launch_mana, restart
 from repro.mana.protocol import JobOptions
 from repro.mana.split_process import fixed_upper_bytes
@@ -64,19 +68,15 @@ class _Tenant:
 
     record: JobRecord
     job: ManaJob
+    #: decides when the job is cut; started once the job is live
+    life: CheckpointLifecycle
     nodes: tuple[int, ...]
     alloc_start: float
-    #: True once the application is actually executing (post-replay)
-    live: bool = False
-    #: when it went live (lost-work baselines start here, not at alloc)
+    #: when the application went live, post-replay for a restart
+    #: (lost-work baselines start here, not at alloc)
     live_at: Optional[float] = None
-    #: a coordinated checkpoint (periodic or induced) is in flight
-    ckpt_busy: bool = False
-    #: preemption decided while the tenant could not be checkpointed yet
-    preempt_deferred: bool = False
     #: torn down (freed / requeued); late callbacks must be ignored
     gone: bool = False
-    auto_handle: object = field(default=None, repr=False)
 
 
 class Facility:
@@ -121,7 +121,6 @@ class Facility:
         self._faults = faults
         self._fault_horizon = fault_horizon
         self._fault_handle = None
-        self._ran = False
 
     # ------------------------------------------------------------ submission
 
@@ -155,7 +154,6 @@ class Facility:
         if stuck and until == inf:
             names = ", ".join(f"{r.spec.name}@{r.state.value}" for r in stuck[:8])
             raise FacilityError(f"facility queue stuck: {names}")
-        self._ran = True
         return self.report()
 
     def report(self) -> FacilityReport:
@@ -293,8 +291,10 @@ class Facility:
                 control=self.control, stragglers=self.stragglers,
             )
             rec.restarts += 1
-        tenant = _Tenant(record=rec, job=job, nodes=tuple(node_ids),
-                         alloc_start=now)
+        tenant = _Tenant(record=rec, job=job,
+                         life=CheckpointLifecycle(job, self.checkpoint_interval),
+                         nodes=tuple(node_ids), alloc_start=now)
+        tenant.life.on_cut.append(lambda report: self._on_cut(tenant, report))
         self._tenants[spec.job_id] = tenant
         job.resumed.on_done(lambda _v: self._on_live(tenant))
         job.finished.on_done(lambda _v: self._on_complete(tenant))
@@ -314,18 +314,12 @@ class Facility:
         """The tenant's application is executing (post-replay for restarts)."""
         if tenant.gone:
             return
-        tenant.live = True
         tenant.live_at = self.engine.now
-        rec = tenant.record
         rr = tenant.job.restart_report
         if rr is not None:
             # restart read + replay + init is pure overhead on every node
-            rec.node_seconds_lost += rr.total_time * len(tenant.nodes)
-        if rec.state is JobState.PREEMPTING and tenant.preempt_deferred:
-            tenant.preempt_deferred = False
-            self._begin_preemption_ckpt(tenant)
-        elif self.checkpoint_interval is not None:
-            self._arm_auto_ckpt(tenant)
+            tenant.record.node_seconds_lost += rr.total_time * len(tenant.nodes)
+        tenant.life.start()
 
     # ------------------------------------------------------------ completion
 
@@ -349,9 +343,7 @@ class Facility:
     def _teardown(self, tenant: _Tenant) -> None:
         """Kill the tenant's job, free its nodes, settle node-time books."""
         tenant.gone = True
-        if tenant.auto_handle is not None:
-            tenant.auto_handle.cancel()
-            tenant.auto_handle = None
+        tenant.life.stop()
         tenant.job.kill()
         now = self.engine.now
         rec = tenant.record
@@ -382,37 +374,22 @@ class Facility:
         if tr.enabled:
             tr.instant("facility:preempt", cat=Category.FACILITY,
                        job=rec.spec.name, beneficiary=for_job.spec.name)
-        if not tenant.live or tenant.ckpt_busy:
-            # mid-replay or mid-periodic-checkpoint: the induced checkpoint
-            # starts (or the periodic one is reused) as soon as possible
-            tenant.preempt_deferred = True
-            return
-        self._begin_preemption_ckpt(tenant)
+        # mid-replay the cut waits until the tenant is live; mid-periodic
+        # cut, that cut serves the preemption
+        tenant.life.request()
 
-    def _begin_preemption_ckpt(self, tenant: _Tenant) -> None:
-        tenant.ckpt_busy = True
-        done = tenant.job.coordinator.request_checkpoint()
-        done.on_done(lambda res: self._preempt_ckpt_done(tenant, res))
-
-    def _preempt_ckpt_done(self, tenant: _Tenant, result) -> None:
-        tenant.ckpt_busy = False
-        rec = tenant.record
-        if tenant.gone or rec.state is not JobState.PREEMPTING:
+    def _on_cut(self, tenant: _Tenant, report: CheckpointReport) -> None:
+        """A tenant's cut finished: book it; a preempted tenant then goes."""
+        if tenant.gone:
             return
-        if isinstance(result, CheckpointAborted):
-            # a node crashed under the preemption checkpoint; the crash
-            # handler requeues from the last *saved* checkpoint instead
-            return
-        self._save_checkpoint(tenant, result)
-        self._requeue_preempted(tenant)
-
-    def _save_checkpoint(self, tenant: _Tenant, report: CheckpointReport) -> None:
         rec = tenant.record
         rec.ckpt = report.ckpt_set
         rec.ckpt_saved_at = self.engine.now
         rec.checkpoints += 1
         # protocol + drain + write time burned on every allocated node
         rec.node_seconds_lost += report.total_time * len(tenant.nodes)
+        if rec.state is JobState.PREEMPTING:
+            self._requeue_preempted(tenant)
 
     def _requeue_preempted(self, tenant: _Tenant) -> None:
         rec = tenant.record
@@ -426,41 +403,6 @@ class Facility:
             tr.instant("facility:requeue", cat=Category.FACILITY,
                        job=rec.spec.name)
         self._schedule()
-
-    # ------------------------------------------------------- periodic ckpts
-
-    def _arm_auto_ckpt(self, tenant: _Tenant) -> None:
-        tenant.auto_handle = self.engine.call_after(
-            self.checkpoint_interval, self._auto_ckpt, tenant,
-            label=f"facility:auto-ckpt:{tenant.record.spec.name}",
-        )
-
-    def _auto_ckpt(self, tenant: _Tenant) -> None:
-        tenant.auto_handle = None
-        rec = tenant.record
-        if tenant.gone or rec.state is not JobState.RUNNING:
-            return
-        if tenant.ckpt_busy or tenant.job.finished.done:
-            self._arm_auto_ckpt(tenant)
-            return
-        tenant.ckpt_busy = True
-        done = tenant.job.coordinator.request_checkpoint()
-        done.on_done(lambda res: self._auto_ckpt_done(tenant, res))
-
-    def _auto_ckpt_done(self, tenant: _Tenant, result) -> None:
-        tenant.ckpt_busy = False
-        rec = tenant.record
-        if tenant.gone:
-            return
-        if isinstance(result, CheckpointAborted):
-            return  # the crash handler owns recovery
-        self._save_checkpoint(tenant, result)
-        if rec.state is JobState.PREEMPTING:
-            # a preemption was decided mid-checkpoint; this image serves it
-            tenant.preempt_deferred = False
-            self._requeue_preempted(tenant)
-            return
-        self._arm_auto_ckpt(tenant)
 
     # ----------------------------------------------------------------- faults
 

@@ -5,13 +5,15 @@ equivalent of running a production job under MANA with periodic
 checkpoints and an automatic restart-on-failure policy:
 
 1. launch the job, arm the fault injector, start the heartbeat detector;
-2. advance in ``interval``-sized slices, cutting a coordinated checkpoint
-   between slices (two-generation retention via
-   :class:`~repro.mana.autockpt.CheckpointPruner`);
+2. run it under a :class:`~repro.mana.autockpt.CheckpointLifecycle`
+   cutting a coordinated checkpoint every ``interval`` simulated seconds
+   into one generation store for the whole run (two-generation retention
+   on disk via :class:`~repro.mana.autockpt.CheckpointPruner`, or the
+   newest set in memory);
 3. on a failure — detected mid-compute by heartbeat timeout, or surfaced
    as :class:`~repro.mana.coordinator.CheckpointAborted` mid-protocol —
    abandon the attempt, re-plan onto the surviving nodes (or a spare
-   cluster), restart from the newest saved checkpoint, and continue;
+   cluster), restart from the store's newest set, and continue;
 4. stop when the job completes or the retry budget is exhausted.
 
 Time is accounted on a single *global* axis: each attempt's engine starts
@@ -29,11 +31,13 @@ from repro.faults.detector import FailureDetector
 from repro.faults.injector import FaultInjector
 from repro.faults.models import Fault, FaultModel, NodeCrash, ScriptedFaults
 from repro.hardware.cluster import Cluster, ClusterError
-from repro.mana.autockpt import CheckpointPruner
-from repro.mana.coordinator import CheckpointAborted, CheckpointReport
+from repro.mana.autockpt import (
+    CheckpointLifecycle,
+    CheckpointPruner,
+    NewestInMemory,
+)
+from repro.mana.coordinator import CheckpointReport
 from repro.mana.job import ManaJob, launch_mana, restart
-from repro.mana.storage import load_checkpoint
-from repro.simtime import Engine
 
 MB = 1 << 20
 
@@ -98,22 +102,6 @@ class ResilientRun:
     def final_states(self) -> Optional[list]:
         """The final attempt's per-rank program states (None if never ran)."""
         return self.final_job.states if self.final_job is not None else None
-
-
-def _advance(engine: Engine, deadline: float, should_stop: Callable[[], bool]) -> None:
-    """Step ``engine`` to ``deadline``, returning early if ``should_stop``.
-
-    Stepping one event at a time (instead of ``run(until=...)``) leaves the
-    clock at the stopping event — a detected failure or job completion —
-    rather than forcing it to the deadline.
-    """
-    while not should_stop():
-        nxt = engine.next_event_time
-        if nxt is None or nxt > deadline:
-            break
-        engine.step()
-    if not should_stop() and engine.now < deadline:
-        engine.run(until=deadline)
 
 
 def _plan_target(
@@ -194,15 +182,15 @@ def run_resilient(
         reference_time = ref_job.run_to_completion()
 
     out = ResilientRun(reference_time=reference_time)
-    pruner = (
-        CheckpointPruner(out_dir, keep=keep) if out_dir is not None else None
+    store = (
+        CheckpointPruner(out_dir, keep=keep) if out_dir is not None
+        else NewestInMemory()
     )
     hb_period = (
         heartbeat_period if heartbeat_period is not None
         else max(interval / 20.0, 1e-3)
     )
     global_t = 0.0
-    last_ckpt = None
     last_ckpt_global_end: Optional[float] = None
 
     while True:
@@ -215,18 +203,15 @@ def run_resilient(
             out.stop_reason = "no viable cluster"
             break
         attempt_t0 = global_t
-        fresh_launch = last_ckpt is None
-        if fresh_launch:
+        newest = store.latest()
+        if newest is None:
             job = launch_mana(
                 target, program_factory, n_ranks, ranks_per_node=rpn,
                 mpi=mpi, app_mem_bytes=app_mem_bytes, seed=seed,
             )
         else:
-            ckpt = last_ckpt
-            if pruner is not None and pruner.latest_dir is not None:
-                ckpt = load_checkpoint(pruner.latest_dir)
             job = restart(
-                ckpt, target, program_factory, ranks_per_node=rpn, mpi=mpi,
+                newest, target, program_factory, ranks_per_node=rpn, mpi=mpi,
                 seed=seed + out.attempts,
             )
         engine = job.engine
@@ -244,39 +229,33 @@ def run_resilient(
             dead_ranks.append(rank)
             _job.coordinator.notify_rank_failure(rank)
 
+        def _on_cut(report: CheckpointReport, _t0=attempt_t0,
+                    _e=engine) -> None:
+            nonlocal last_ckpt_global_end
+            out.reports.append(report)
+            last_ckpt_global_end = _t0 + _e.now
+            out.checkpoint_times.append(last_ckpt_global_end)
+            if out_dir is not None:
+                out.saved_dirs = list(store.saved_dirs)
+
         detector.on_failure.append(_on_failure)
-        if fresh_launch:
+        life = CheckpointLifecycle(job, interval, store)
+        life.on_cut.append(_on_cut)
+        aborted: list = []
+        life.on_abort.append(aborted.append)
+        if newest is None:
             job.start()  # restarted jobs start their own drivers post-replay
         detector.start()
-
-        failure_during: Optional[str] = None
-        while True:
-            deadline = engine.now + interval
-            _advance(
-                engine, deadline,
-                lambda: bool(dead_ranks) or job.finished.done,
-            )
-            if dead_ranks:
-                failure_during = "compute"
-                break
-            if job.finished.done:
-                break
-            try:
-                ckpt, report = job.checkpoint()
-            except CheckpointAborted:
-                failure_during = "checkpoint"
-                break
-            out.reports.append(report)
-            last_ckpt = ckpt
-            last_ckpt_global_end = global_t + engine.now
-            out.checkpoint_times.append(last_ckpt_global_end)
-            if pruner is not None:
-                pruner.save(ckpt)
-                out.saved_dirs = list(pruner.saved_dirs)
-
+        life.start()
+        # step event by event, so the clock stops at the failure detection
+        # or the job's completion (after a cut it finished under)
+        while life.busy or not (dead_ranks or job.finished.done):
+            if not engine.step():
+                raise RuntimeError("resilient run stalled: no events pending")
+        life.stop()
         detector.stop()
         injector.disarm()
-        if failure_during is None:
+        if not dead_ranks:
             global_t += engine.now
             out.completed = True
             out.stop_reason = "completed"
@@ -300,7 +279,7 @@ def run_resilient(
             nodes=tuple(crash.fault.nodes) if crash is not None else (),
             global_time=crash_global,
             detected_at=global_t + engine.now,
-            during=failure_during,
+            during="checkpoint" if aborted else "compute",
             lost_work=max(0.0, crash_global - resume_point),
             attempt=out.attempts,
         ))

@@ -31,7 +31,7 @@ from repro.mana.coordinator import CheckpointReport, Coordinator
 from repro.mana.job import ManaJob, launch_mana, restart
 from repro.mana.protocol import CkptMsg, JobOptions, RankCkptState, WrapperPhase
 from repro.mana.split_process import SplitProcess
-from repro.mana.autockpt import run_with_periodic_checkpoints, young_daly_interval
+from repro.mana.autockpt import young_daly_interval
 from repro.mana.storage import describe_checkpoint, load_checkpoint, save_checkpoint
 from repro.mana.virtualize import HandleKind, VirtualHandleTable, VirtualizationError
 from repro.mana.wrappers import ManaApi
@@ -56,7 +56,6 @@ __all__ = [
     "launch_mana",
     "load_checkpoint",
     "restart",
-    "run_with_periodic_checkpoints",
     "save_checkpoint",
     "young_daly_interval",
 ]

@@ -1,13 +1,17 @@
-"""Periodic checkpointing: the production fault-tolerance loop.
+"""The checkpoint lifecycle: when a job is cut, and where its sets go.
 
 Sites run MANA by checkpointing long jobs on an interval chosen from the
-optimal-checkpoint-period literature (Young/Daly: sqrt(2 * MTBF * ckpt_cost))
-and keeping the last couple of checkpoint sets on stable storage.  This
-module packages that loop for simulated jobs:
+optimal-checkpoint-period literature (Young/Daly: sqrt(2 * MTBF * ckpt_cost)),
+cutting extra checkpoints on demand (a preemption), and keeping the last
+couple of checkpoint sets on stable storage.  This module is that loop,
+written once for every loop that runs jobs:
 
-* :func:`run_with_periodic_checkpoints` — drive a job to completion, cutting
-  a coordinated checkpoint every ``interval`` simulated seconds, optionally
-  persisting each to disk and pruning old ones;
+* :class:`CheckpointLifecycle` — one job's event-driven lifecycle: periodic
+  cuts armed on the job's own engine, induced cuts, and every finished set
+  stamped and handed to a generation store.  :func:`repro.faults.run_resilient`
+  drives one per attempt, :class:`repro.facility.Facility` one per tenant;
+* :class:`NewestInMemory` / :class:`CheckpointPruner` — the generation
+  stores: the newest set in memory, or the newest ``keep`` sets on disk;
 * :func:`young_daly_interval` — the classic period formula.
 """
 
@@ -16,13 +20,16 @@ from __future__ import annotations
 import math
 import pathlib
 import shutil
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.mana.checkpoint_image import CheckpointSet
-from repro.mana.coordinator import CheckpointReport
+from repro.mana.coordinator import CheckpointAborted, CheckpointReport
 from repro.mana.job import ManaJob
-from repro.mana.storage import save_checkpoint
+from repro.mana.storage import load_checkpoint, save_checkpoint
+
+#: engine priority of a periodic cut: after every other event at its
+#: instant, so a cut at ``t`` sees everything that happens at ``t``
+CUT_PRIORITY = 1
 
 
 def young_daly_interval(mtbf_seconds: float, ckpt_cost_seconds: float) -> float:
@@ -32,14 +39,29 @@ def young_daly_interval(mtbf_seconds: float, ckpt_cost_seconds: float) -> float:
     return math.sqrt(2.0 * ckpt_cost_seconds * mtbf_seconds)
 
 
+class NewestInMemory:
+    """A generation store of one: the newest set, kept in memory."""
+
+    def __init__(self) -> None:
+        self.newest: Optional[CheckpointSet] = None
+
+    def save(self, ckpt: CheckpointSet) -> None:
+        """Keep ``ckpt`` as the newest generation."""
+        self.newest = ckpt
+
+    def latest(self) -> Optional[CheckpointSet]:
+        """The newest set, if any."""
+        return self.newest
+
+
 class CheckpointPruner:
     """Two-generation checkpoint retention on stable storage.
 
     Saves each :class:`CheckpointSet` to ``out_dir/ckpt_NNNN`` and prunes
     the oldest directories down to ``keep`` — but only after the new set is
-    safely on disk, so the newest checkpoint is never at risk.  Shared by
-    the periodic loop and by :func:`repro.faults.run_resilient`, whose
-    numbering continues across recoveries.
+    safely on disk, so the newest checkpoint is never at risk.  Numbering
+    continues for as long as the pruner lives (across the recoveries of
+    :func:`repro.faults.run_resilient`).
     """
 
     def __init__(self, out_dir: Union[str, pathlib.Path], keep: int = 2) -> None:
@@ -68,76 +90,101 @@ class CheckpointPruner:
             shutil.rmtree(doomed, ignore_errors=True)
         return target
 
-
-@dataclass
-class PeriodicRun:
-    """Outcome of a periodic-checkpoint run."""
-
-    completed: bool
-    reports: list[CheckpointReport] = field(default_factory=list)
-    saved_dirs: list[pathlib.Path] = field(default_factory=list)
-    total_time: float = 0.0
-
-    @property
-    def checkpoint_overhead(self) -> float:
-        """Total simulated seconds spent inside checkpoint protocols."""
-        return sum(r.total_time for r in self.reports)
-
-    @property
-    def latest_dir(self) -> Optional[pathlib.Path]:
-        """The newest saved checkpoint directory, if any."""
-        return self.saved_dirs[-1] if self.saved_dirs else None
+    def latest(self) -> Optional[CheckpointSet]:
+        """The newest set, reloaded (and digest-checked) from disk."""
+        return load_checkpoint(self.latest_dir) if self.saved_dirs else None
 
 
-def run_with_periodic_checkpoints(
-    job: ManaJob,
-    interval: float,
-    out_dir: Optional[Union[str, pathlib.Path]] = None,
-    keep: int = 2,
-    max_checkpoints: Optional[int] = None,
-    until: Optional[float] = None,
-) -> PeriodicRun:
-    """Run ``job`` to completion, checkpointing every ``interval`` seconds.
+class CheckpointLifecycle:
+    """One job's checkpoint lifecycle, driven by events on its engine.
 
-    If ``out_dir`` is given, each checkpoint is saved to
-    ``out_dir/ckpt_NNNN`` and only the newest ``keep`` directories are
-    retained (the standard two-generation scheme: never delete the old
-    checkpoint before the new one is safely on disk).  ``until`` stops the
-    loop at an absolute virtual time (e.g. an injected failure) —
-    ``completed`` is then False unless the job finished first.
+    * :meth:`start` arms a periodic cut ``interval`` seconds ahead (none if
+      ``interval`` is None); every finished cut re-arms the next one.
+    * :meth:`request` induces a cut (a preemption): at once, or at
+      :meth:`start` if the job has not started yet.  A cut already in
+      flight serves the request.
+    * Each finished set, stamped by :meth:`ManaJob.request_checkpoint`, goes
+      to ``store`` and then to every ``on_cut`` listener with its report.
+      An aborted cut goes to the ``on_abort`` listeners and re-arms nothing
+      (recovery belongs to the caller).
+    * :meth:`stop` ends it: no further cut starts (one in flight still
+      ends and reports).  The job's completion stops it too.
+
+    Nothing here blocks, so many lifecycles share one engine (the facility).
     """
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    if keep < 1:
-        raise ValueError("must keep at least one checkpoint")
-    out = PeriodicRun(completed=False)
-    pruner = CheckpointPruner(out_dir, keep=keep) if out_dir is not None else None
-    t0 = job.engine.now
-    # Record the exact virtual time the job finishes: `run_until` always
-    # advances the clock to its deadline, so the clock alone can overshoot.
-    finish_time: list[float] = []
-    job.finished.on_done(lambda _v: finish_time.append(job.engine.now))
-    next_ckpt = t0 + interval
-    index = 0
-    while True:
-        deadline = next_ckpt if until is None else min(next_ckpt, until)
-        job.run_until(deadline)
-        if job.finished.done:
-            out.completed = True
-            break
-        if until is not None and job.engine.now >= until:
-            break  # the injected failure (or budget) hit first
-        if max_checkpoints is not None and index >= max_checkpoints:
-            job.run_to_completion()
-            out.completed = True
-            break
-        ckpt, report = job.checkpoint()
-        out.reports.append(report)
-        if pruner is not None:
-            pruner.save(ckpt)
-            out.saved_dirs = list(pruner.saved_dirs)
-        index += 1
-        next_ckpt = job.engine.now + interval
-    end = finish_time[0] if (out.completed and finish_time) else job.engine.now
-    out.total_time = end - t0
-    return out
+
+    def __init__(self, job: ManaJob, interval: Optional[float] = None,
+                 store=None) -> None:
+        if interval is not None and interval <= 0:
+            raise ValueError(f"interval must be positive, got {interval}")
+        self.job = job
+        self.interval = interval
+        #: where finished sets go: anything with ``save(ckpt)``
+        self.store = store if store is not None else NewestInMemory()
+        self.on_cut: list[Callable[[CheckpointReport], None]] = []
+        self.on_abort: list[Callable[[CheckpointAborted], None]] = []
+        #: a cut is in flight
+        self.busy = False
+        self._started = False
+        self._wanted = False
+        self._stopped = False
+        self._timer = None
+        job.finished.on_done(lambda _v: self.stop())
+
+    def start(self) -> None:
+        """Begin: take a cut requested before now, else arm the first
+        periodic cut."""
+        self._started = True
+        if self._wanted:
+            self._wanted = False
+            self._cut()
+        else:
+            self._arm()
+
+    def request(self) -> None:
+        """Induce a cut as soon as the job can take one."""
+        if self.busy or self._stopped:
+            return
+        if not self._started:
+            self._wanted = True
+            return
+        self._cut()
+
+    def stop(self) -> None:
+        """Start no further cut."""
+        self._stopped = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    # ------------------------------------------------------------ internals
+
+    def _arm(self) -> None:
+        if self.interval is None or self._stopped:
+            return
+        if self._timer is not None:  # an induced cut ended first
+            self._timer.cancel()
+        self._timer = self.job.engine.call_after(
+            self.interval, self._on_timer, priority=CUT_PRIORITY,
+            label="autockpt:periodic",
+        )
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        if not self.busy:
+            self._cut()
+
+    def _cut(self) -> None:
+        self.busy = True
+        self.job.request_checkpoint().on_done(self._on_done)
+
+    def _on_done(self, result) -> None:
+        self.busy = False
+        if isinstance(result, CheckpointAborted):
+            for cb in list(self.on_abort):
+                cb(result)
+            return
+        self.store.save(result.ckpt_set)
+        for cb in list(self.on_cut):
+            cb(result)
+        self._arm()

@@ -115,7 +115,6 @@ class Coordinator:
         self._replies: dict[int, Any] = {}
         self._expect_kind: Optional[CkptMsg] = None
         self._done: Optional[Completion] = None
-        self._report: Optional[CheckpointReport] = None
         self._t0 = 0.0
         self._t_drain_start = 0.0
         self._t_drain_end = 0.0
@@ -206,6 +205,8 @@ class Coordinator:
     def _on_reply(self, rank: int, msg: CkptMsg, payload: Any) -> None:
         if self._phase == "aborted" or rank in self.failed_ranks:
             return  # stale reply racing an abort: drop, never raise
+        if self.proto.c is None:
+            return  # the job was torn down with this reply in flight
         self.proto.on_reply(rank, msg, payload)
 
     def _start_phase(self, phase: str, expect: Optional[CkptMsg]) -> None:
@@ -226,9 +227,18 @@ class Coordinator:
     def _resolve_report(self, *, total: float, drain: float, write: float,
                         images: list, quiesce_wait: float,
                         fallback_ranks: tuple = ()) -> None:
-        """Build the :class:`CheckpointReport` and resolve the completion
-        (called by the protocol engine once every image is written)."""
-        self._report = CheckpointReport(
+        """Count the finished checkpoint, build its
+        :class:`CheckpointReport` and resolve the completion (called by the
+        protocol engine once every image is written)."""
+        self.checkpoints_taken += 1
+        m = self.engine.metrics
+        m.counter("ckpt.completed").inc()
+        m.histogram("ckpt.drain_seconds").observe(drain)
+        m.histogram("ckpt.write_seconds").observe(write)
+        m.histogram("ckpt.quiesce_wait_seconds").observe(quiesce_wait)
+        m.gauge("ckpt.last_total_seconds").set(total)
+        m.gauge("ckpt.last_rounds").set(self._rounds)
+        self._done.resolve(CheckpointReport(
             total_time=total,
             drain_time=drain,
             write_time=write,
@@ -238,5 +248,4 @@ class Coordinator:
             quiesce_wait=quiesce_wait,
             protocol=self.options.protocol,
             fallback_ranks=tuple(fallback_ranks),
-        )
-        self._done.resolve(self._report)
+        ))

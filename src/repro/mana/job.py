@@ -146,23 +146,20 @@ class ManaJob:
 
     # ----------------------------------------------------------- checkpoint
 
-    def checkpoint(self) -> tuple[CheckpointSet, CheckpointReport]:
-        """Trigger a coordinated checkpoint *now* and run the simulation
-        until it completes; the application continues afterwards.
-
-        Raises :class:`CheckpointAborted` if a rank fails mid-protocol (the
-        abort is raised once a failure detector times the dead helper out).
-        """
+    def request_checkpoint(self) -> Completion:
+        """Begin a coordinated checkpoint now.  The completion resolves with
+        the :class:`CheckpointReport` once its set's ``meta`` is stamped, or
+        with :class:`CheckpointAborted` if a rank fails mid-protocol."""
         done = self.coordinator.request_checkpoint()
-        while not done.done:
-            if not self.engine.step():
-                raise RuntimeError(
-                    "checkpoint protocol stalled: no events pending"
-                )
-        if isinstance(done.value, CheckpointAborted):
-            raise done.value
-        report: CheckpointReport = done.value
-        meta = report.ckpt_set.meta
+        done.on_done(self._stamp)
+        return done
+
+    def _stamp(self, result) -> None:
+        """Stamp a finished set's ``meta``: the job's own, the cut's time
+        and source, the options its restarts inherit, compaction totals."""
+        if isinstance(result, CheckpointAborted):
+            return
+        meta = result.ckpt_set.meta
         meta.update(self.meta)
         meta["taken_at"] = self.engine.now
         meta["source_cluster"] = self.cluster.name
@@ -176,6 +173,23 @@ class ManaJob:
             }
         else:  # a restarted job's meta may carry its source's stats
             meta.pop("log_compaction", None)
+
+    def checkpoint(self) -> tuple[CheckpointSet, CheckpointReport]:
+        """Trigger a coordinated checkpoint *now* and run the simulation
+        until it completes; the application continues afterwards.
+
+        Raises :class:`CheckpointAborted` if a rank fails mid-protocol (the
+        abort is raised once a failure detector times the dead helper out).
+        """
+        done = self.request_checkpoint()
+        while not done.done:
+            if not self.engine.step():
+                raise RuntimeError(
+                    "checkpoint protocol stalled: no events pending"
+                )
+        if isinstance(done.value, CheckpointAborted):
+            raise done.value
+        report: CheckpointReport = done.value
         return report.ckpt_set, report
 
     def checkpoint_at(self, t: float) -> tuple[CheckpointSet, CheckpointReport]:

@@ -264,20 +264,12 @@ class Alg2Protocol(ProtocolEngine):
             drain = c._t_drain_end - c._t_drain_start
             write = t_write_end - c._t_write_start
             quiesce_wait = c._t_drain_start - c._t0
-            c.checkpoints_taken += 1
             tr = c.engine.tracer
             if tr.enabled:
                 c._trace_phase("ckpt:write")
                 c._trace_phase("ckpt", rounds=c._rounds,
                                drain_s=drain, write_s=write)
                 tr.instant("ckpt:resume", cat=Category.PROTOCOL)
-            m = c.engine.metrics
-            m.counter("ckpt.completed").inc()
-            m.histogram("ckpt.drain_seconds").observe(drain)
-            m.histogram("ckpt.write_seconds").observe(write)
-            m.histogram("ckpt.quiesce_wait_seconds").observe(quiesce_wait)
-            m.gauge("ckpt.last_total_seconds").set(total)
-            m.gauge("ckpt.last_rounds").set(c._rounds)
             c._resolve_report(
                 total=total, drain=drain, write=write, images=images,
                 quiesce_wait=quiesce_wait,
@@ -397,6 +389,8 @@ class TopoSortProtocol(ProtocolEngine):
                 raise RuntimeError(
                     f"topo: unexpected state reply {payload!r} from rank {rank}"
                 )
+            if c._phase == "idle":
+                return  # the post-resume straggler's exit: the round is over
             self._exited.add(rank)
             if self._expected is not None:
                 if rank not in self._laggards:
@@ -535,12 +529,12 @@ class TopoSortProtocol(ProtocolEngine):
         images = [self._images[r] for r in range(n)]
         c._start_phase("idle", None)
         c._broadcast(CkptMsg.RESUME, lambda i: None)
+        self.reset()
         total = t_end - c._t0
         drain = max(0.0, self._t_drain_last - c._t_drain_start)
         write = t_end - (
             self._t_write_first if self._t_write_first is not None else t_end
         )
-        c.checkpoints_taken += 1
         tr = c.engine.tracer
         if tr.enabled:
             c._trace_phase("ckpt:topo-write")
@@ -549,13 +543,6 @@ class TopoSortProtocol(ProtocolEngine):
                            laggards=len(self._laggards),
                            fallback=len(self._fallback))
             tr.instant("ckpt:resume", cat=Category.PROTOCOL)
-        m = c.engine.metrics
-        m.counter("ckpt.completed").inc()
-        m.histogram("ckpt.drain_seconds").observe(drain)
-        m.histogram("ckpt.write_seconds").observe(write)
-        m.histogram("ckpt.quiesce_wait_seconds").observe(self._quiesce_wait)
-        m.gauge("ckpt.last_total_seconds").set(total)
-        m.gauge("ckpt.last_rounds").set(c._rounds)
         c._resolve_report(
             total=total, drain=drain, write=write, images=images,
             quiesce_wait=self._quiesce_wait, fallback_ranks=self._fallback,

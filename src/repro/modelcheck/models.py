@@ -540,6 +540,14 @@ class TopoSortModel(Model):
                     elif slots[i] == "L" or phase == "done":
                         yield (f"c:recv-revise-r{i}",
                                mk(ml=push(mail, i, "A"), ot=nout))
+                        if phase == "done" and mail[i]:
+                            # the ack is sent after the RESUME broadcast but
+                            # on a shorter delay, so it may overtake it: the
+                            # rank then commits still paused and owes an
+                            # exit-phase-2 reply to the finished round
+                            ahead = mail[:i] + (("A",) + mail[i],) + mail[i + 1:]
+                            yield (f"c:recv-revise-r{i}:overtakes-resume",
+                                   mk(ml=ahead, ot=nout))
                     else:
                         yield (f"c:recv-revise-r{i}",
                                with_rank(i, ("V:settled-revised",) + ranks[i][1:],
@@ -554,6 +562,10 @@ class TopoSortModel(Model):
                         nco = setslot(i, "D")
                         yield (f"c:recv-exit-r{i}",
                                mk(co=nco, ml=push(mail, i, "D"), ot=nout))
+                    elif phase == "done":
+                        # the post-resume straggler's exit: the round it
+                        # answers is over, so take it and ignore it
+                        yield (f"c:recv-exit-r{i}:after-done", mk(ot=nout))
                 elif kind == "dr" and slots[i] == "D":
                     # the v2 step: write THIS rank now — no global barrier
                     nco = setslot(i, "DR")

@@ -486,9 +486,9 @@ class MpiWorld:
                 coll_models.collective_rounds(op, p),
             )
         ops, nbytes, rounds, n_rounds = memo
-        ops.inc()
-        nbytes.inc(ctx.max_size)
-        rounds.inc(n_rounds)
+        ops.value += 1
+        nbytes.value += ctx.max_size
+        rounds.value += n_rounds
         results = _collective_results(ctx)
         del self._colls[key]
         for comm_rank, completion in ctx.completions.items():

@@ -112,7 +112,7 @@ def test_crash_during_preemption_falls_back_to_saved_checkpoint():
             pass
         tenant = fac._tenants.get(0)
         if (rec_lo.state is JobState.PREEMPTING and tenant is not None
-                and tenant.ckpt_busy):
+                and tenant.life.busy):
             assert rec_lo.ckpt_saved_at is not None, \
                 "scenario needs a periodic image saved before the crash"
             saved_at = rec_lo.ckpt_saved_at
@@ -208,17 +208,50 @@ def test_sweep_parallelism_is_invisible():
     assert serial.columns == threaded.columns
 
 
-def test_preempt_requeue_preserves_fingerprint_under_topo_protocol():
-    """The alg2 preemption round trip, re-run under ``protocol=topo``: the
-    induced checkpoint uses the topological-sort engine, and the resumed
-    job must still finish bit-identical to its unpreempted solo golden
-    (which is protocol-independent — it never checkpoints)."""
+def _topo_preempt_round_trip(monkeypatch, compact):
+    """The LONG_JOB / URGENT_JOB preemption on a ``protocol="topo"``
+    facility: returns the long job's record, the report and every job the
+    facility restarted."""
+    import repro.facility.facility as facility_module
+
+    restarted = []
+    real_restart = facility_module.restart
+
+    def recording_restart(*args, **kwargs):
+        job = real_restart(*args, **kwargs)
+        restarted.append(job)
+        return job
+
+    monkeypatch.setattr(facility_module, "restart", recording_restart)
     fac = Facility(_cluster("preempt-topo", 2), scheduler="fifo", seed=5,
-                   protocol="topo")
+                   protocol="topo", compact=compact)
     lo, hi = fac.submit_all([LONG_JOB, URGENT_JOB])
     rep = fac.run()
-    assert rep.completed_jobs == 2
+    assert rep.completed_jobs == 2 and hi.preemptions == 0
     assert lo.preemptions >= 1 and lo.restarts >= 1 and lo.checkpoints >= 1
-    assert hi.preemptions == 0
+    # every hop inherits the facility's options from the image it restarts
+    assert lo.ckpt.meta["options"] == {"protocol": "topo", "compact": compact}
+    assert restarted and all(
+        job.coordinator.options.as_dict() == lo.ckpt.meta["options"]
+        for job in restarted
+    )
+    return lo, rep
+
+
+def test_preempt_requeue_preserves_fingerprint_under_topo_protocol(
+        monkeypatch):
+    """The alg2 preemption round trip, re-run under ``protocol=topo``: the
+    induced checkpoint uses the topological-sort engine, the restarted hop
+    runs topo too, and the resumed job must still finish bit-identical to
+    its unpreempted solo golden (which is protocol-independent — it never
+    checkpoints)."""
+    lo, rep = _topo_preempt_round_trip(monkeypatch, compact=False)
     assert lo.fingerprint == _solo_fingerprint(LONG_JOB)
     assert rep.ckpt_traffic_bytes > 0
+
+
+def test_preempt_requeue_under_topo_protocol_keeps_compaction(monkeypatch):
+    """The same round trip with ``compact=True``: the restarted hop keeps
+    compacting its log and still finishes at the solo golden."""
+    lo, _rep = _topo_preempt_round_trip(monkeypatch, compact=True)
+    assert lo.fingerprint == _solo_fingerprint(LONG_JOB)

@@ -1,12 +1,9 @@
-"""CheckpointPruner retention and periodic-loop boundary semantics."""
+"""CheckpointPruner retention and the lifecycle's end-of-job semantics."""
 
 import pytest
 
 from repro.hardware.cluster import make_cluster
-from repro.mana.autockpt import (
-    CheckpointPruner,
-    run_with_periodic_checkpoints,
-)
+from repro.mana.autockpt import CheckpointLifecycle, CheckpointPruner
 
 from tests.mana.conftest import allreduce_factory, launch_small
 
@@ -49,37 +46,20 @@ def test_pruner_rejects_keep_below_one(tmp_path):
         CheckpointPruner(tmp_path, keep=0)
 
 
-def test_until_on_interval_boundary_does_not_double_checkpoint(cluster):
-    # until == 2 * interval: checkpoint at t=1 only; the loop must stop at
-    # the boundary rather than cutting a redundant checkpoint there
-    job = launch_small(cluster, allreduce_factory(n_iters=50))
-    run = run_with_periodic_checkpoints(job, interval=1.0, until=2.0)
-    assert not run.completed
-    assert len(run.reports) == 1
-
-    job2 = launch_small(make_cluster("prune2", 2, interconnect="aries"),
-                        allreduce_factory(n_iters=50))
-    run2 = run_with_periodic_checkpoints(job2, interval=1.0, until=1.0)
-    assert not run2.completed
-    assert len(run2.reports) == 0
-
-
 def test_total_time_is_finish_time_not_deadline(cluster):
-    # the engine clock lands on each run_until deadline; total_time must
-    # still report when the job finished, not the overshot deadline
+    # a finished job stops its lifecycle: the periodic cut armed far
+    # beyond the end is cancelled, so the clock stops at the finish
     factory = allreduce_factory(n_iters=4)
     ref = launch_small(make_cluster("prune3", 2, interconnect="aries"),
                        factory)
     ref_time = ref.run_to_completion()
 
     job = launch_small(cluster, factory)
-    run = run_with_periodic_checkpoints(job, interval=100.0)
-    assert run.completed and run.reports == []
-    assert run.total_time == pytest.approx(ref_time)
-    assert run.total_time < 100.0
-
-
-def test_loop_rejects_keep_below_one(cluster):
-    job = launch_small(cluster, allreduce_factory(n_iters=4))
-    with pytest.raises(ValueError):
-        run_with_periodic_checkpoints(job, interval=1.0, keep=0)
+    life = CheckpointLifecycle(job, interval=100.0)
+    reports = []
+    life.on_cut.append(reports.append)
+    life.start()
+    total_time = job.run_to_completion()
+    assert reports == []
+    assert total_time == pytest.approx(ref_time)
+    assert total_time < 100.0

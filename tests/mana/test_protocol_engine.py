@@ -13,7 +13,7 @@ import pytest
 
 from repro.conformance.oracles import state_fingerprint
 from repro.hardware.cluster import make_cluster
-from repro.mana import restart
+from repro.mana import launch_mana, restart
 from repro.mana.protocol import PROTOCOLS
 from repro.mana.protocol_engine import make_protocol
 
@@ -95,3 +95,33 @@ def test_make_protocol_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown checkpoint protocol"):
         make_protocol("two-phase", None)
     assert set(PROTOCOLS) == {"alg2", "topo"}
+
+
+def test_topo_job_keeps_running_after_any_cut():
+    """A job cut by the topo engine runs on to its uncheckpointed state.
+
+    The straggler race: a rank parked in a trivial barrier at the intent
+    is classified settled, drained and written; after RESUME a faster peer
+    completes that barrier before the straggler resumes, so the straggler
+    revises and then owes the exit-phase-2 reply of a round that already
+    finished.  The coordinator must acknowledge and ignore both.
+    """
+    from repro.apps import get_app
+
+    spec = get_app("hpcg")
+    factory = spec.build(spec.default_config.scaled(n_steps=4))
+
+    def launch():
+        cluster = make_cluster("topo-cont", 2, cores_per_node=32,
+                               interconnect="aries", default_mpi="mpich")
+        return launch_mana(cluster, factory, 4, ranks_per_node=2,
+                           protocol="topo").start()
+
+    ref = launch()
+    ref.run_to_completion()
+    golden = state_fingerprint(ref.states)
+    for k in range(1, 19):
+        job = launch()
+        job.checkpoint_at(0.0025 * k)
+        job.run_to_completion()
+        assert state_fingerprint(job.states) == golden, f"cut {0.0025 * k}"

@@ -55,3 +55,31 @@ def test_topo_simulation_mode_scales():
     )
     assert res.ok
     assert res.states_explored > 500
+
+
+def test_post_done_exit_is_delivered_and_ignored():
+    """The post-resume straggler's deferred exit-phase-2 reply reaches the
+    coordinator after the round finished (its revision ack overtook the
+    RESUME); the model must deliver it and change nothing else — the real
+    engine ignores it the same way."""
+    from collections import deque
+
+    model = TopoSortModel(n_ranks=2)
+    seen = set(model.initial_states())
+    frontier = deque(seen)
+    delivered = []
+    while frontier:
+        state = frontier.popleft()
+        for action, nxt in model.successors(state):
+            if action.endswith(":after-done"):
+                delivered.append((state, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert delivered, "no post-done exit is reachable"
+    for before, after in delivered:
+        ranks, net, coord, mail, out = before
+        assert coord[0] == "done"
+        assert (after[0], after[1], after[2], after[3]) == (ranks, net, coord,
+                                                           mail)
+        assert ("x",) in out and None in after[4]
